@@ -14,9 +14,10 @@ from typing import Mapping
 
 
 def _require_positive(**values: int) -> None:
+    # exactly int: floats would leak into results and bools pass as 0/1
     for name, value in values.items():
-        if value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value}")
+        if type(value) is not int or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def is_prime(n: int) -> bool:

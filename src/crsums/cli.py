@@ -1,5 +1,11 @@
 """Command-line front end: point queries, verification sweeps, reports.
 
+``crsum --checked`` means the same for every ``--method``: the chosen
+evaluator's value must agree with every value of ``crsum.cross_check``.  The
+scalar subcommands (jordan, ggcd, mobius, hsum, grytczuk, skn) are rows of
+one table, ``SCALARS``, served by one handler.  ``sweep`` writes each CSV
+row as its check runs and keeps only the counts and the failures.
+
 Exit codes are stable: 0 success, 2 usage/parse/precondition failure,
 3 cross-method disagreement or integrality failure, 4 sweep with failures.
 Rationals serialize as "num/den" strings in lowest terms (bare "num" when
@@ -15,8 +21,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -32,12 +37,12 @@ from .crsum import (
     crs_hoelder,
     crs_mobius,
     crs_multiplicative,
+    cross_check,
 )
 from .expansions import MobiusSpec, partial_expansion
 from .identities import (
     delange_bound,
     divisor_abs_sum,
-    divisor_sum_record,
     equality_case_holds,
     grytczuk_value,
     orthogonality_sum,
@@ -53,12 +58,6 @@ def _json_int(value: int):
     return value if abs(value) <= _JSON_SAFE else str(value)
 
 
-def _frac_str(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
@@ -70,22 +69,21 @@ def _emit_json(obj, out: str | None) -> None:
     _emit(json.dumps(obj, separators=(",", ":")), out)
 
 
+def _emit_value(args: argparse.Namespace, operands: dict, value: int,
+                extras: Callable[[], dict]) -> None:
+    """Print the bare value, or with --json the operands, value and extras."""
+    if args.json:
+        _emit_json({**operands, "value": _json_int(value), **extras()}, args.out)
+    else:
+        _emit(str(value), args.out)
+
+
 # ----------------------------------------------------------------------
 # Verification sweeps
 # ----------------------------------------------------------------------
 
-# check name -> fn(k, n, s) -> (passed, expected, actual)
-CheckFn = Callable[[int, int, int], tuple[bool, str, str]]
-
-
 def _check_crs_agreement(k: int, n: int, s: int) -> tuple[bool, str, str]:
-    query = CrsQuery(k, n, s)
-    seen = {
-        "mobius": crs_mobius(query).value,
-        "multiplicative": crs_multiplicative(query).value,
-    }
-    if k**s <= CHECKED_DIRECT_GUARD:
-        seen["direct"] = crs_direct(query).value
+    seen = cross_check(CrsQuery(k, n, s), CHECKED_DIRECT_GUARD)
     passed = len(set(seen.values())) == 1
     return passed, str(seen["mobius"]), ",".join(f"{m}={v}" for m, v in seen.items())
 
@@ -127,7 +125,8 @@ def _check_equality_case(k: int, n: int, s: int) -> tuple[bool, str, str]:
     return True, "(no claim)", "equality" if h == bound else "strict"
 
 
-CHECKS: dict[str, CheckFn] = {
+# check name -> fn(k, n, s) -> (passed, expected, actual)
+CHECKS: dict[str, Callable[[int, int, int], tuple[bool, str, str]]] = {
     "crs-agreement": _check_crs_agreement,
     "delange-bound": _check_delange_bound,
     "grytczuk-equality": _check_grytczuk,
@@ -166,38 +165,35 @@ class SweepGrid:
 @dataclass
 class SweepResult:
     grid: SweepGrid
-    cells_total: int
-    cells_passed: int
-    failures: list[tuple[int, int, int, str, str, str]]
-    rows: list[tuple[int, int, int, str, str, str, bool]]
+    cells_total: int = 0
+    cells_passed: int = 0
+    failures: list[tuple[int, int, int, str, str, str]] = field(default_factory=list)
 
 
-def run_sweep(grid: SweepGrid) -> SweepResult:
-    total = 0
-    passed = 0
-    failures = []
-    rows = []
+def run_sweep(grid: SweepGrid,
+              on_row: Callable[..., object] = lambda *row: None) -> SweepResult:
+    """Run the grid's checks on every cell.
+
+    Each (k, n, s, check, expected, actual, passed) row goes to ``on_row``
+    and is not kept; the result holds only the counts and the failures.
+    """
+    result = SweepResult(grid)
     for k, n, s in grid.cells():
         for name in grid.checks:
             ok, expected, actual = CHECKS[name](k, n, s)
-            total += 1
-            passed += ok
-            rows.append((k, n, s, name, expected, actual, ok))
+            result.cells_total += 1
+            result.cells_passed += ok
+            on_row(k, n, s, name, expected, actual, ok)
             if not ok:
-                failures.append((k, n, s, name, expected, actual))
+                result.failures.append((k, n, s, name, expected, actual))
     # deterministic regardless of evaluation schedule
-    failures.sort(key=lambda f: (f[0], f[1], f[2], f[3]))
-    return SweepResult(grid, total, passed, failures, rows)
+    result.failures.sort(key=lambda f: (f[0], f[1], f[2], f[3]))
+    return result
 
 
 def _sweep_json(result: SweepResult) -> str:
     obj = {
-        "grid": {
-            "k_range": list(result.grid.k_range),
-            "n_range": list(result.grid.n_range),
-            "s_values": list(result.grid.s_values),
-            "checks": list(result.grid.checks),
-        },
+        "grid": asdict(result.grid),
         "cells_total": result.cells_total,
         "cells_passed": result.cells_passed,
         "failures": [
@@ -207,155 +203,104 @@ def _sweep_json(result: SweepResult) -> str:
     }
     return json.dumps(obj, separators=(",", ":"))
 
-def _sweep_csv(result: SweepResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "n", "s", "check", "expected", "actual", "pass"])
-    for k, n, s, name, expected, actual, ok in result.rows:
-        writer.writerow([k, n, s, name, expected, actual, "true" if ok else "false"])
-    return buf.getvalue().rstrip("\n")
-
 
 # ----------------------------------------------------------------------
 # Subcommand handlers
 # ----------------------------------------------------------------------
 
 def _direct_guard() -> int:
-    raw = os.environ.get("CRSUM_MAX_DIRECT")
-    if raw is None:
-        return DIRECT_GUARD
+    raw = os.environ.get("CRSUM_MAX_DIRECT", str(DIRECT_GUARD))
     try:
-        guard = int(raw, 10)
-    except ValueError:
-        raise ValueError(f"CRSUM_MAX_DIRECT must be an integer, got {raw!r}") from None
-    if guard < 1:
-        raise ValueError(f"CRSUM_MAX_DIRECT must be positive, got {guard}")
-    return guard
+        return _positive(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"CRSUM_MAX_DIRECT={raw!r}: {exc}") from None
 
 
 def _cmd_crsum(args: argparse.Namespace) -> int:
     query = CrsQuery(args.q, args.n, args.s)
     guard = _direct_guard()
-    if args.method == "auto":
-        result = crs(query, checked=args.checked,
-                     direct_limit=min(CHECKED_DIRECT_GUARD, guard))
-    elif args.method == "direct":
-        result = crs_direct(query, max_terms=guard)
-    elif args.method == "mobius":
-        result = crs_mobius(query)
-    elif args.method == "multiplicative":
-        result = crs_multiplicative(query)
-    else:
-        result = crs_hoelder(query)
-    if args.checked and args.method != "auto":
-        reference = crs_mobius(query).value
-        if result.value != reference:
-            raise CrossCheckError(
-                f"{result.method} gave {result.value}, mobius gave {reference} on {query}"
-            )
-    if args.json:
-        _emit_json(
-            {"q": args.q, "n": args.n, "s": args.s,
-             "value": _json_int(result.value), "method": result.method},
-            args.out,
-        )
-    else:
-        _emit(str(result.value), args.out)
+    evaluate = {"auto": crs, "direct": lambda query: crs_direct(query, max_terms=guard),
+                "mobius": crs_mobius, "multiplicative": crs_multiplicative,
+                "hoelder": crs_hoelder}
+    result = evaluate[args.method](query)
+    if args.checked:
+        seen = {**cross_check(query, min(CHECKED_DIRECT_GUARD, guard)),
+                result.method: result.value}
+        if len(set(seen.values())) != 1:
+            raise CrossCheckError(f"evaluators disagree on {query}: {seen}")
+    _emit_value(args, {"q": args.q, "n": args.n, "s": args.s}, result.value,
+                lambda: {"method": result.method})
     return 0
 
 
-def _cmd_jordan(args: argparse.Namespace) -> int:
-    value = jordan_totient(args.s, args.n)
-    if args.json:
-        _emit_json({"n": args.n, "s": args.s, "value": _json_int(value)}, args.out)
-    else:
-        _emit(str(value), args.out)
-    return 0
+@dataclass(frozen=True)
+class Scalar:
+    """A subcommand printing one integer computed from positive operands.
+
+    An operand named "s" is the ``--s`` option (default 1).  ``value`` and
+    ``extras`` take the operands as keywords; ``extras`` gives the fields
+    that only ``--json`` computes, after "value".
+    """
+
+    operands: tuple[str, ...]
+    help: str
+    value: Callable[..., int]
+    extras: Callable[..., dict[str, int]] = lambda **_: {}
 
 
-def _cmd_ggcd(args: argparse.Namespace) -> int:
-    value = generalized_gcd(args.a, args.b, args.s)
-    if args.json:
-        _emit_json(
-            {"a": args.a, "b": args.b, "s": args.s, "value": _json_int(value)}, args.out
-        )
-    else:
-        _emit(str(value), args.out)
-    return 0
+# The lambdas look the library functions up when called, not when defined.
+SCALARS: dict[str, Scalar] = {
+    "jordan": Scalar(("n", "s"), "Jordan totient J_s(n)",
+                     lambda n, s: jordan_totient(s, n)),
+    "ggcd": Scalar(("a", "b", "s"),
+                   "generalized gcd (a,b)_s, returned as the s-th power d**s",
+                   lambda a, b, s: generalized_gcd(a, b, s)),
+    "mobius": Scalar(("n",), "Möbius function μ(n)", lambda n: mobius(n)),
+    "hsum": Scalar(
+        ("k", "n", "s"), "divisor absolute sum Σ_{q|k} |c_q^(s)(n)|",
+        lambda k, n, s: divisor_abs_sum(k, n, s),
+        lambda k, n, s: {"delange_bound": delange_bound(k, n, s),
+                         "grytczuk_value": grytczuk_value(k, n, s)},
+    ),
+    "grytczuk": Scalar(
+        ("k", "n", "s"), "closed form 2**w(k^s/(k^s,n)_s)·(k^s,n)_s of the divisor sum",
+        lambda k, n, s: grytczuk_value(k, n, s),
+        lambda k, n, s: {"divisor_abs_sum": divisor_abs_sum(k, n, s)},
+    ),
+    "skn": Scalar(
+        ("k", "n", "s"), "Möbius-inverted divisor sum S(k,n) = |c_k^(s)(n)|",
+        lambda k, n, s: s_kn_mobius(k, n, s),
+        lambda k, n, s: {
+            "closed_form": s_kn_closed_form(k, n, s),
+            "closed_form_plain_gcd": s_kn_closed_form(k, n, s, plain_gcd=True),
+            "abs_crs": abs(crs_multiplicative(CrsQuery(k, n, s)).value),
+        },
+    ),
+}
 
 
-def _cmd_mobius(args: argparse.Namespace) -> int:
-    value = mobius(args.n)
-    if args.json:
-        _emit_json({"n": args.n, "value": value}, args.out)
-    else:
-        _emit(str(value), args.out)
-    return 0
-
-
-def _cmd_hsum(args: argparse.Namespace) -> int:
-    record = divisor_sum_record(args.k, args.n, args.s)
-    if args.json:
-        _emit_json(
-            {
-                "k": record.k, "n": record.n, "s": record.s,
-                "value": _json_int(record.h_value),
-                "delange_bound": _json_int(record.delange_bound),
-                "grytczuk_value": _json_int(record.grytczuk_value),
-            },
-            args.out,
-        )
-    else:
-        _emit(str(record.h_value), args.out)
-    return 0
-
-
-def _cmd_grytczuk(args: argparse.Namespace) -> int:
-    record = divisor_sum_record(args.k, args.n, args.s)
-    if args.json:
-        _emit_json(
-            {
-                "k": record.k, "n": record.n, "s": record.s,
-                "value": _json_int(record.grytczuk_value),
-                "divisor_abs_sum": _json_int(record.h_value),
-            },
-            args.out,
-        )
-    else:
-        _emit(str(record.grytczuk_value), args.out)
-    return 0
-
-
-def _cmd_skn(args: argparse.Namespace) -> int:
-    inverted = s_kn_mobius(args.k, args.n, args.s)
-    if args.json:
-        reference = abs(crs_multiplicative(CrsQuery(args.k, args.n, args.s)).value)
-        _emit_json(
-            {
-                "k": args.k, "n": args.n, "s": args.s,
-                "value": _json_int(inverted),
-                "closed_form": _json_int(s_kn_closed_form(args.k, args.n, args.s)),
-                "closed_form_plain_gcd": _json_int(
-                    s_kn_closed_form(args.k, args.n, args.s, plain_gcd=True)
-                ),
-                "abs_crs": _json_int(reference),
-            },
-            args.out,
-        )
-    else:
-        _emit(str(inverted), args.out)
+def _cmd_scalar(args: argparse.Namespace) -> int:
+    scalar = SCALARS[args.command]
+    operands = {name: getattr(args, name) for name in scalar.operands}
+    _emit_value(args, operands, scalar.value(**operands),
+                lambda: {k: _json_int(v) for k, v in scalar.extras(**operands).items()})
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    grid = SweepGrid(
-        k_range=(args.k_min, args.k_max),
-        n_range=(args.n_min, args.n_max),
-        s_values=tuple(args.s),
-        checks=tuple(args.checks),
-    )
-    result = run_sweep(grid)
-    report = _sweep_csv(result) if args.format == "csv" else _sweep_json(result)
+    grid = SweepGrid((args.k_min, args.k_max), (args.n_min, args.n_max),
+                     tuple(args.s), tuple(args.checks))
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["k", "n", "s", "check", "expected", "actual", "pass"])
+        result = run_sweep(
+            grid, lambda *row: writer.writerow([*row[:6], "true" if row[6] else "false"])
+        )
+        report = buf.getvalue().rstrip("\n")
+    else:
+        result = run_sweep(grid)
+        report = _sweep_json(result)
     _emit(report, args.out)
     if args.out:
         print(
@@ -379,11 +324,11 @@ def _cmd_expand(args: argparse.Namespace) -> int:
             "n": report.n,
             "s": report.s,
             "q_max": report.q_max,
-            "coefficients": {str(q): _frac_str(a) for q, a in report.coefficients.items()},
-            "partial_sum": _frac_str(report.partial_sum),
-            "target": _frac_str(report.target),
-            "residual": _frac_str(report.residual),
-            "condition_sum": _frac_str(report.condition_sum),
+            "coefficients": {str(q): str(a) for q, a in report.coefficients.items()},
+            "partial_sum": str(report.partial_sum),
+            "target": str(report.target),
+            "residual": str(report.residual),
+            "condition_sum": str(report.condition_sum),
         },
         args.out,
     )
@@ -428,42 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-verify against independent evaluators (exit 3 on mismatch)")
     p.set_defaults(func=_cmd_crsum)
 
-    p = sub.add_parser("jordan", parents=[common], help="Jordan totient J_s(n)")
-    p.add_argument("n", type=_positive)
-    p.add_argument("--s", type=_positive, default=1)
-    p.set_defaults(func=_cmd_jordan)
-
-    p = sub.add_parser("ggcd", parents=[common],
-                       help="generalized gcd (a,b)_s, returned as the s-th power d**s")
-    p.add_argument("a", type=_positive)
-    p.add_argument("b", type=_positive)
-    p.add_argument("--s", type=_positive, default=1)
-    p.set_defaults(func=_cmd_ggcd)
-
-    p = sub.add_parser("mobius", parents=[common], help="Möbius function μ(n)")
-    p.add_argument("n", type=_positive)
-    p.set_defaults(func=_cmd_mobius)
-
-    p = sub.add_parser("hsum", parents=[common],
-                       help="divisor absolute sum Σ_{q|k} |c_q^(s)(n)|")
-    p.add_argument("k", type=_positive)
-    p.add_argument("n", type=_positive)
-    p.add_argument("--s", type=_positive, default=1)
-    p.set_defaults(func=_cmd_hsum)
-
-    p = sub.add_parser("grytczuk", parents=[common],
-                       help="closed form 2**w(k^s/(k^s,n)_s)·(k^s,n)_s of the divisor sum")
-    p.add_argument("k", type=_positive)
-    p.add_argument("n", type=_positive)
-    p.add_argument("--s", type=_positive, default=1)
-    p.set_defaults(func=_cmd_grytczuk)
-
-    p = sub.add_parser("skn", parents=[common],
-                       help="Möbius-inverted divisor sum S(k,n) = |c_k^(s)(n)|")
-    p.add_argument("k", type=_positive)
-    p.add_argument("n", type=_positive)
-    p.add_argument("--s", type=_positive, default=1)
-    p.set_defaults(func=_cmd_skn)
+    for name, scalar in SCALARS.items():
+        p = sub.add_parser(name, parents=[common], help=scalar.help)
+        for operand in scalar.operands:
+            if operand == "s":
+                p.add_argument("--s", type=_positive, default=1)
+            else:
+                p.add_argument(operand, type=_positive)
+        p.set_defaults(func=_cmd_scalar)
 
     p = sub.add_parser("sweep", parents=[common],
                        help="run identity checks over a (k, n, s) grid")
@@ -488,19 +405,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CrossCheckError, DirectRoundingError) as exc:
+    except (CrossCheckError, DirectRoundingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ValueError) else 3
 
 
 def entrypoint() -> None:

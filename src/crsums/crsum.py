@@ -16,6 +16,8 @@ another:
 * ``crs_multiplicative``  prime-power product (the default fast path)
 * ``crs_hoelder``         Jordan-totient closed form (see its docstring for
                           the corrected statement it implements)
+
+``cross_check`` runs the independent evaluators on one query side by side.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal
+from typing import Iterable, Literal
 
 from .arith import (
     _require_positive,
@@ -38,7 +40,7 @@ Method = Literal["direct", "mobius", "multiplicative", "hoelder"]
 
 #: Hard ceiling on q**s for the literal summation.
 DIRECT_GUARD = 10**6
-#: Below this size the checked dispatcher also runs the literal summation.
+#: Below this size ``cross_check`` also runs the literal summation.
 CHECKED_DIRECT_GUARD = 10**4
 
 _INTEGRALITY_TOL = 1e-6
@@ -73,27 +75,33 @@ class CrsValue:
     method: Method
 
 
+@dataclass(frozen=True)
+class _RootsOnIndex:
+    """e(t/modulus) computed from the index t on each lookup; holds no table."""
+
+    modulus: int
+
+    def __getitem__(self, t: int) -> complex:
+        angle = math.tau * t / self.modulus
+        return complex(math.cos(angle), math.sin(angle))
+
+
 @lru_cache(maxsize=64)
 def _root_table(modulus: int) -> tuple[complex, ...]:
-    return tuple(
-        complex(math.cos(math.tau * t / modulus), math.sin(math.tau * t / modulus))
-        for t in range(modulus)
-    )
+    return tuple(map(_RootsOnIndex(modulus).__getitem__, range(modulus)))
+
+
+def _admissible(q: int, s: int) -> Iterable[int]:
+    """Each h in 1..q**s with (h, q**s)_s = 1, i.e. p**s ∤ h for every prime p|q."""
+    terms: Iterable[int] = range(1, q**s + 1)
+    for p, _ in factorize(q):
+        terms = filter((p**s).__rmod__, terms)  # keeps h with h % p**s != 0
+    return terms
 
 
 @lru_cache(maxsize=256)
 def _admissible_h(q: int, s: int) -> tuple[int, ...]:
-    """All h in 1..q**s with (h, q**s)_s = 1, i.e. p**s ∤ h for every prime p|q."""
-    qs = q**s
-    blocks = tuple(p**s for p, _ in factorize(q))
-    out = []
-    for h in range(1, qs + 1):
-        for b in blocks:
-            if h % b == 0:
-                break
-        else:
-            out.append(h)
-    return tuple(out)
+    return tuple(_admissible(q, s))
 
 
 def _direct_value(q: int, n: int, s: int, max_terms: int) -> int:
@@ -103,30 +111,22 @@ def _direct_value(q: int, n: int, s: int, max_terms: int) -> int:
             f"direct evaluation requires q**s <= {max_terms}, got {qs}; "
             "use the mobius or multiplicative evaluator instead"
         )
+    # Small moduli reuse cached tables; larger ones stream both sources so
+    # the extra memory stays O(1).
+    if qs <= _TABLE_CACHE_LIMIT:
+        roots, terms = _root_table(qs), _admissible_h(q, s)
+    else:
+        roots, terms = _RootsOnIndex(qs), _admissible(q, s)
     n_red = n % qs
     # Kahan-compensated accumulation; complex + and - act componentwise, so
     # the compensation is valid for both parts at once.
     acc = 0j
     comp = 0j
-    if qs <= _TABLE_CACHE_LIMIT:
-        roots = _root_table(qs)
-        for h in _admissible_h(q, s):
-            y = roots[n_red * h % qs] - comp
-            tot = acc + y
-            comp = (tot - acc) - y
-            acc = tot
-    else:
-        blocks = tuple(p**s for p, _ in factorize(q))
-        for h in range(1, qs + 1):
-            for b in blocks:
-                if h % b == 0:
-                    break
-            else:
-                ang = math.tau * (n_red * h % qs) / qs
-                y = complex(math.cos(ang), math.sin(ang)) - comp
-                tot = acc + y
-                comp = (tot - acc) - y
-                acc = tot
+    for h in terms:
+        y = roots[n_red * h % qs] - comp
+        tot = acc + y
+        comp = (tot - acc) - y
+        acc = tot
     nearest = round(acc.real)
     if abs(acc.imag) >= _INTEGRALITY_TOL or abs(acc.real - nearest) >= _INTEGRALITY_TOL:
         raise DirectRoundingError(
@@ -220,26 +220,36 @@ def crs_hoelder(query: CrsQuery) -> CrsValue:
     return CrsValue(_hoelder_value(query.q, query.n, query.s), "hoelder")
 
 
-def crs(
-    query: CrsQuery,
-    checked: bool = False,
-    direct_limit: int = CHECKED_DIRECT_GUARD,
-) -> CrsValue:
+def cross_check(query: CrsQuery,
+                direct_limit: int = CHECKED_DIRECT_GUARD) -> dict[str, int]:
+    """The query's value from each independent evaluator, keyed by method.
+
+    Keys come in the order mobius, multiplicative, then direct, which joins
+    only when q**s <= direct_limit.  Callers decide what a disagreement
+    means; a direct sum that misses an integer raises DirectRoundingError.
+    """
+    q, n, s = query.q, query.n, query.s
+    seen = {
+        "mobius": _mobius_value(q, n, s),
+        "multiplicative": _multiplicative_value(q, n, s),
+    }
+    if q**s <= direct_limit:
+        seen["direct"] = _direct_value(q, n, s, DIRECT_GUARD)
+    return seen
+
+
+def crs(query: CrsQuery, checked: bool = False,
+        direct_limit: int = CHECKED_DIRECT_GUARD) -> CrsValue:
     """Default evaluator: the multiplicative fast path.
 
-    With ``checked=True`` the Möbius divisor sum is recomputed as a
-    reference, and when q**s <= direct_limit the literal summation runs as
-    well; any disagreement raises ``CrossCheckError`` rather than returning
-    a value of uncertain provenance.
+    With ``checked=True`` the value must agree with every evaluator of
+    ``cross_check(query, direct_limit)``; any disagreement raises
+    ``CrossCheckError`` rather than returning a value of uncertain
+    provenance.
     """
-    value = _multiplicative_value(query.q, query.n, query.s)
-    if checked:
-        seen = {
-            "multiplicative": value,
-            "mobius": _mobius_value(query.q, query.n, query.s),
-        }
-        if query.q**query.s <= direct_limit:
-            seen["direct"] = _direct_value(query.q, query.n, query.s, DIRECT_GUARD)
-        if len(set(seen.values())) != 1:
-            raise CrossCheckError(f"evaluators disagree on {query}: {seen}")
-    return CrsValue(value, "multiplicative")
+    if not checked:
+        return crs_multiplicative(query)
+    seen = cross_check(query, direct_limit)
+    if len(set(seen.values())) != 1:
+        raise CrossCheckError(f"evaluators disagree on {query}: {seen}")
+    return CrsValue(seen["multiplicative"], "multiplicative")

@@ -28,8 +28,8 @@ from .identities import divisor_abs_sum, grytczuk_value
 class MobiusSpec:
     """An arithmetical function given by its Möbius transform on 1..K.
 
-    ``values`` holds the nonzero f'(k) entries; keys must lie in 1..K and
-    missing keys are 0.  Instances are immutable value objects.
+    ``values`` holds the nonzero f'(k) entries as ints; keys must be ints in
+    1..K and missing keys are 0.  Instances are immutable value objects.
     """
 
     support_bound: int
@@ -40,12 +40,14 @@ class MobiusSpec:
         _require_positive(support_bound=self.support_bound)
         cleaned: dict[int, int] = {}
         for k, v in self.values.items():
-            if not 1 <= k <= self.support_bound:
+            if type(k) is not int or not 1 <= k <= self.support_bound:
                 raise ValueError(
                     f"entry {k}={v} lies outside the support 1..{self.support_bound}"
                 )
+            if type(v) is not int:
+                raise ValueError(f"entry {k}={v!r} is not an integer")
             if v != 0:
-                cleaned[int(k)] = int(v)
+                cleaned[k] = v
         object.__setattr__(self, "values", cleaned)
 
     def fprime(self, k: int) -> int:

@@ -14,7 +14,6 @@ anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .arith import (
@@ -28,18 +27,6 @@ from .arith import (
     s_adapted_gcd,
 )
 from .crsum import _multiplicative_value
-
-
-@dataclass(frozen=True)
-class DivisorSumRecord:
-    """One verified cell: the divisor absolute sum with both closed forms."""
-
-    k: int
-    n: int
-    s: int
-    h_value: int
-    delange_bound: int
-    grytczuk_value: int
 
 
 def divisor_abs_sum(k: int, n: int, s: int) -> int:
@@ -64,18 +51,6 @@ def grytczuk_value(k: int, n: int, s: int) -> int:
     ks = k**s
     g = generalized_gcd(ks, n, s)
     return 2 ** omega(ks // g) * g
-
-
-def divisor_sum_record(k: int, n: int, s: int) -> DivisorSumRecord:
-    """Compute all three cell quantities; invariant checks live in the sweeps."""
-    return DivisorSumRecord(
-        k=k,
-        n=n,
-        s=s,
-        h_value=divisor_abs_sum(k, n, s),
-        delange_bound=delange_bound(k, n, s),
-        grytczuk_value=grytczuk_value(k, n, s),
-    )
 
 
 def equality_case_holds(m: int, k: int, s: int) -> bool:

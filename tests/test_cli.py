@@ -64,6 +64,14 @@ def test_crsum_checked_disagreement_exits_3(capsys, monkeypatch):
     assert code == 3
 
 
+def test_explicit_method_checked_disagreement_exits_3(capsys, monkeypatch):
+    # --checked holds the chosen evaluator to the same cross-check as auto
+    monkeypatch.setattr(crsum_module, "_multiplicative_value", lambda q, n, s: 10**9)
+    assert main(["crsum", "6", "3", "--method", "hoelder"]) == 0
+    assert main(["crsum", "6", "3", "--method", "hoelder", "--checked"]) == 3
+    assert main(["crsum", "6", "3", "--method", "mobius", "--checked"]) == 3
+
+
 def test_direct_guard_env_override(capsys, monkeypatch):
     monkeypatch.setenv("CRSUM_MAX_DIRECT", "3")
     assert main(["crsum", "7", "3", "--method", "direct"]) == 2  # 7 terms > guard

@@ -18,6 +18,7 @@ from crsums.crsum import (
     crs_hoelder,
     crs_mobius,
     crs_multiplicative,
+    cross_check,
 )
 
 
@@ -52,7 +53,7 @@ def printed_jordan_form(q: int, n: int, s: int) -> int | None:
 
 
 def test_query_validation():
-    for bad in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
+    for bad in ((0, 1, 1), (1, 0, 1), (1, 1, 0), (2.5, 4, 1), (True, 4, 1)):
         with pytest.raises(ValueError):
             CrsQuery(*bad)
 
@@ -193,6 +194,12 @@ def test_crs_checked_runs_clean_on_grid():
                 crs(CrsQuery(q, n, s), checked=True)
 
 
+def test_cross_check_order_and_direct_limit():
+    assert cross_check(CrsQuery(2, 4, 2)) == {"mobius": 3, "multiplicative": 3, "direct": 3}
+    assert list(cross_check(CrsQuery(2, 4, 2), direct_limit=3)) == ["mobius", "multiplicative"]
+    assert list(cross_check(CrsQuery(101, 5, 2))) == ["mobius", "multiplicative"]
+
+
 def test_crs_checked_flags_disagreement(monkeypatch):
     monkeypatch.setattr(crsum_module, "_mobius_value", lambda q, n, s: 10**9)
     with pytest.raises(CrossCheckError):
@@ -200,9 +207,14 @@ def test_crs_checked_flags_disagreement(monkeypatch):
 
 
 def test_direct_rounding_error_is_raised_not_rounded(monkeypatch):
-    # poison the cached root table so the sum cannot land near an integer
-    monkeypatch.setattr(
-        crsum_module, "_root_table", lambda modulus: (0.5 + 0.5j,) * modulus
-    )
+    # poison both root sources so the sum cannot land near an integer: the
+    # cached table (q**s <= 10**4) and the on-index trig (q**s > 10**4)
+    def poisoned(modulus):
+        return (0.5 + 0.5j,) * modulus
+
+    monkeypatch.setattr(crsum_module, "_root_table", poisoned)
+    monkeypatch.setattr(crsum_module, "_RootsOnIndex", poisoned)
     with pytest.raises(DirectRoundingError):
         crs_direct(CrsQuery(3, 1, 1))
+    with pytest.raises(DirectRoundingError):
+        crs_direct(CrsQuery(101, 1, 2))  # 10201 terms

@@ -38,6 +38,8 @@ def test_spec_validation():
         MobiusSpec(3, {4: 1})
     with pytest.raises(ValueError):
         MobiusSpec(3, {0: 1})
+    with pytest.raises(ValueError):
+        MobiusSpec(4, {1: 2.7})  # would truncate to 2
 
 
 def test_spec_drops_zero_entries_and_reads_zero_off_support():

@@ -1,0 +1,263 @@
+"""Golden CLI outputs: exact stdout bytes, report bytes and exit codes.
+
+Every expectation here was recorded from the CLI and must not drift: a
+refactor of the library or the front end keeps these bytes identical.  Large
+reports are pinned by SHA-256 and size, small ones verbatim.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+import crsums.crsum as crsum_module
+from crsums import cli
+
+SWEEP_GRID = "sweep --k-max 8 --n-max 8 --s 1 2 3"
+SPEC = "K=6\nlabel=golden\n1=1\n2=-3\n6=2\n"
+
+
+def run(capsys, command: str) -> tuple[int, str]:
+    code = cli.main(command.split())
+    return code, capsys.readouterr().out
+
+
+def digest(text: str) -> tuple[str, int]:
+    data = text.encode("utf-8")
+    return hashlib.sha256(data).hexdigest(), len(data)
+
+
+# ---------------------------------------------------------------- point queries
+
+POINT_CASES = [
+    ('crsum 6 4 --s 2', 0, '-3\n'),
+    ('crsum 6 4 --s 2 --json', 0,
+     '{"q":6,"n":4,"s":2,"value":-3,"method":"multiplicative"}\n'),
+    ('crsum 6 4 --s 2 --checked', 0, '-3\n'),
+    ('crsum 6 4 --s 2 --checked --json', 0,
+     '{"q":6,"n":4,"s":2,"value":-3,"method":"multiplicative"}\n'),
+    ('crsum 6 4 --s 2 --method direct --json', 0,
+     '{"q":6,"n":4,"s":2,"value":-3,"method":"direct"}\n'),
+    ('crsum 4 2 --method direct', 0, '-2\n'),
+    ('crsum 6 4 --s 2 --method direct --json --checked', 0,
+     '{"q":6,"n":4,"s":2,"value":-3,"method":"direct"}\n'),
+    ('crsum 4 2 --method direct --checked', 0, '-2\n'),
+    ('crsum 6 4 --s 2 --method mobius --json', 0,
+     '{"q":6,"n":4,"s":2,"value":-3,"method":"mobius"}\n'),
+    ('crsum 4 2 --method mobius', 0, '-2\n'),
+    ('crsum 6 4 --s 2 --method mobius --json --checked', 0,
+     '{"q":6,"n":4,"s":2,"value":-3,"method":"mobius"}\n'),
+    ('crsum 4 2 --method mobius --checked', 0, '-2\n'),
+    ('crsum 6 4 --s 2 --method multiplicative --json', 0,
+     '{"q":6,"n":4,"s":2,"value":-3,"method":"multiplicative"}\n'),
+    ('crsum 4 2 --method multiplicative', 0, '-2\n'),
+    ('crsum 6 4 --s 2 --method multiplicative --json --checked', 0,
+     '{"q":6,"n":4,"s":2,"value":-3,"method":"multiplicative"}\n'),
+    ('crsum 4 2 --method multiplicative --checked', 0, '-2\n'),
+    ('crsum 6 4 --s 2 --method hoelder --json', 0,
+     '{"q":6,"n":4,"s":2,"value":-3,"method":"hoelder"}\n'),
+    ('crsum 4 2 --method hoelder', 0, '-2\n'),
+    ('crsum 6 4 --s 2 --method hoelder --json --checked', 0,
+     '{"q":6,"n":4,"s":2,"value":-3,"method":"hoelder"}\n'),
+    ('crsum 4 2 --method hoelder --checked', 0, '-2\n'),
+    ('crsum 101 5 --s 2 --method direct', 0, '-1\n'),
+    ('crsum 101 5 --s 2 --method direct --checked --json', 0,
+     '{"q":101,"n":5,"s":2,"value":-1,"method":"direct"}\n'),
+    ('crsum 1000000007 1000000014000000049 --s 2 --json', 0,
+     '{"q":1000000007,"n":1000000014000000049,"s":2,"value":"1000000014000000048","method":"multiplicative"}\n'),
+    ('crsum 1000000007 1000000014000000049 --s 2 --checked --method hoelder', 0,
+     '1000000014000000048\n'),
+    ('jordan 6 --s 2', 0, '24\n'),
+    ('jordan 6 --json', 0, '{"n":6,"s":1,"value":2}\n'),
+    ('jordan 1000003 --s 3 --json', 0,
+     '{"n":1000003,"s":3,"value":"1000009000027000026"}\n'),
+    ('ggcd 16 48 --s 2', 0, '16\n'),
+    ('ggcd 16 48 --json', 0, '{"a":16,"b":48,"s":1,"value":16}\n'),
+    ('mobius 30', 0, '-1\n'),
+    ('mobius 12 --json', 0, '{"n":12,"value":0}\n'),
+    ('hsum 6 4 --s 2', 0, '8\n'),
+    ('hsum 6 4 --s 2 --json', 0,
+     '{"k":6,"n":4,"s":2,"value":8,"delange_bound":16,"grytczuk_value":8}\n'),
+    ('grytczuk 6 4 --s 2', 0, '8\n'),
+    ('grytczuk 4 2 --json', 0, '{"k":4,"n":2,"s":1,"value":4,"divisor_abs_sum":4}\n'),
+    ('skn 2 2 --s 2', 0, '1\n'),
+    ('skn 2 2 --s 2 --json', 0,
+     '{"k":2,"n":2,"s":2,"value":1,"closed_form":1,"closed_form_plain_gcd":3,"abs_crs":1}\n'),
+    ('skn 6 4 --s 2 --json', 0,
+     '{"k":6,"n":4,"s":2,"value":3,"closed_form":3,"closed_form_plain_gcd":3,"abs_crs":3}\n'),
+    ('skn 1000003 1000006 --s 3 --json', 0,
+     '{"k":1000003,"n":1000006,"s":3,"value":1,"closed_form":1,"closed_form_plain_gcd":1,"abs_crs":1}\n'),
+    ('skn 6 36 --s 2 --json', 0,
+     '{"k":6,"n":36,"s":2,"value":24,"closed_form":24,"closed_form_plain_gcd":24,"abs_crs":24}\n'),
+    ('hsum 1000003 1000009000027000027 --s 3 --json', 0,
+     '{"k":1000003,"n":1000009000027000027,"s":3,"value":"1000009000027000027","delange_bound":"2000018000054000054","grytczuk_value":"1000009000027000027"}\n'),
+    ('grytczuk 1000003 1000009000027000027 --s 3 --json', 0,
+     '{"k":1000003,"n":1000009000027000027,"s":3,"value":"1000009000027000027","divisor_abs_sum":"1000009000027000027"}\n'),
+]
+
+
+@pytest.mark.parametrize("command, code, stdout", POINT_CASES,
+                         ids=[c[0] for c in POINT_CASES])
+def test_point_query(capsys, command, code, stdout):
+    assert run(capsys, command) == (code, stdout)
+
+
+def test_point_query_out_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "hsum 6 4 --s 2 --json --out h.json") == (0, "")
+    assert (tmp_path / "h.json").read_bytes() == (
+        b'{"k":6,"n":4,"s":2,"value":8,"delange_bound":16,"grytczuk_value":8}\n'
+    )
+    assert run(capsys, "crsum 6 4 --s 2 --checked --out c.txt") == (0, "")
+    assert (tmp_path / "c.txt").read_bytes() == b"-3\n"
+
+
+# ---------------------------------------------------------------- sweep
+
+SWEEP_JSON = (
+    '{"grid":{"k_range":[1,8],"n_range":[1,8],"s_values":[1,2,3],'
+    '"checks":["crs-agreement","delange-bound","equality-case","grytczuk-equality",'
+    '"orthogonality","skn-consistency"]},'
+    '"cells_total":1152,"cells_passed":1152,"failures":[]}\n'
+)
+SWEEP_CSV = ("e9f0b85bc38cf0fe896287697145c0f59cb8856549e367feaa41f370223a8f2e", 49452)
+SUBSET_CSV = (
+    'k,n,s,check,expected,actual,pass\n'
+    '3,5,2,crs-agreement,-1,"mobius=-1,multiplicative=-1,direct=-1",true\n'
+    '3,5,2,equality-case,(no claim),strict,true\n'
+    '3,6,2,crs-agreement,-1,"mobius=-1,multiplicative=-1,direct=-1",true\n'
+    '3,6,2,equality-case,(no claim),strict,true\n'
+    '4,5,2,crs-agreement,0,"mobius=0,multiplicative=0,direct=0",true\n'
+    '4,5,2,equality-case,(no claim),strict,true\n'
+    '4,6,2,crs-agreement,0,"mobius=0,multiplicative=0,direct=0",true\n'
+    '4,6,2,equality-case,(no claim),strict,true\n'
+)
+
+
+def test_sweep_json_stdout(capsys):
+    assert run(capsys, SWEEP_GRID) == (0, SWEEP_JSON)
+
+
+def test_sweep_csv_stdout(capsys):
+    code, out = run(capsys, SWEEP_GRID + " --format csv")
+    assert code == 0
+    assert out.startswith("k,n,s,check,expected,actual,pass\n1,1,1,crs-agreement,1,")
+    assert digest(out) == SWEEP_CSV
+
+
+def test_sweep_reports_to_files(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    summary = "1152/1152 checks passed; 0 failures; report written to {}\n"
+    assert run(capsys, SWEEP_GRID + " --out r.json") == (0, summary.format("r.json"))
+    assert (tmp_path / "r.json").read_text(encoding="utf-8") == SWEEP_JSON
+    code, out = run(capsys, SWEEP_GRID + " --format csv --out r.csv")
+    assert (code, out) == (0, summary.format("r.csv"))
+    assert digest((tmp_path / "r.csv").read_text(encoding="utf-8")) == SWEEP_CSV
+
+
+def test_sweep_subset_csv(capsys):
+    command = ("sweep --k-min 3 --k-max 4 --n-min 5 --n-max 6 --s 2 "
+               "--checks crs-agreement equality-case --format csv")
+    assert run(capsys, command) == (0, SUBSET_CSV)
+
+
+# ---------------------------------------------------------------- expand
+
+EXPAND_FULL = (
+    '{"label":"golden","support_bound":6,"n":12,"s":2,"q_max":6,'
+    '"coefficients":{"1":"11/36","2":"-25/36","3":"1/18","4":"0","5":"0","6":"1/18"},'
+    '"partial_sum":"0","target":"0","residual":"0","condition_sum":"49/18"}\n'
+)
+EXPAND_TRUNCATED = (
+    '{"label":"golden","support_bound":6,"n":5,"s":1,"q_max":2,'
+    '"coefficients":{"1":"-1/6","2":"-7/6"},'
+    '"partial_sum":"1","target":"1","residual":"0","condition_sum":"16/3"}\n'
+)
+
+
+def test_expand(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.spec").write_text(SPEC, encoding="utf-8")
+    assert run(capsys, "expand f.spec 12 --s 2") == (0, EXPAND_FULL)
+    assert run(capsys, "expand f.spec 5 --q-max 2 --json") == (0, EXPAND_TRUNCATED)
+    assert run(capsys, "expand f.spec 12 --s 2 --out e.json") == (0, "")
+    assert (tmp_path / "e.json").read_text(encoding="utf-8") == EXPAND_FULL
+
+
+# ---------------------------------------------------------------- exit codes
+
+
+@pytest.mark.parametrize("command", [
+    "crsum 0 4",
+    "crsum x 4",
+    "crsum 4",
+    "crsum 4 2 --method fourier",
+    "jordan 0",
+    "ggcd 4",
+    "mobius 1.5",
+    "hsum 4 0",
+    "grytczuk 4 2 --s 0",
+    "skn a 2",
+    "nope 1 2",
+    "sweep --k-min 5 --k-max 1",
+    "sweep --checks not-a-check",
+    "expand missing.spec 2",
+    "expand bad.spec 2",
+])
+def test_bad_operand_exits_2(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.spec").write_text("K=2\n1=one\n", encoding="utf-8")
+    assert run(capsys, command) == (2, "")
+
+
+def test_direct_guard_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("CRSUM_MAX_DIRECT", "1000")
+    assert run(capsys, "crsum 1000 7 --s 2 --method direct") == (2, "")
+    monkeypatch.setenv("CRSUM_MAX_DIRECT", "bogus")
+    assert run(capsys, "crsum 7 3 --method direct") == (2, "")
+
+
+@pytest.mark.parametrize("command", [
+    "crsum 6 3 --checked",
+    "crsum 6 3 --checked --json",
+    "crsum 6 3 --method hoelder --checked",
+    "crsum 6 3 --method direct --checked --json",
+])
+def test_forced_disagreement_exits_3(capsys, monkeypatch, command):
+    monkeypatch.setattr(crsum_module, "_mobius_value", lambda q, n, s: 10**9)
+    assert run(capsys, command) == (3, "")
+
+
+def test_forced_rounding_error_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(crsum_module, "_root_table", lambda m: (0.5 + 0.5j,) * m)
+    assert run(capsys, "crsum 3 1 --method direct") == (3, "")
+
+
+FAILED_SWEEP_JSON = (
+    '{"grid":{"k_range":[1,3],"n_range":[1,2],"s_values":[1],"checks":["orthogonality"]},'
+    '"cells_total":6,"cells_passed":4,"failures":['
+    '{"k":2,"n":1,"s":1,"check":"orthogonality","expected":"0","actual":"forced"},'
+    '{"k":2,"n":2,"s":1,"check":"orthogonality","expected":"0","actual":"forced"}]}\n'
+)
+FAILED_SWEEP_CSV = (
+    "k,n,s,check,expected,actual,pass\n"
+    "1,1,1,orthogonality,0,forced,true\n"
+    "1,2,1,orthogonality,0,forced,true\n"
+    "2,1,1,orthogonality,0,forced,false\n"
+    "2,2,1,orthogonality,0,forced,false\n"
+    "3,1,1,orthogonality,0,forced,true\n"
+    "3,2,1,orthogonality,0,forced,true\n"
+)
+
+
+def test_forced_sweep_failure_exits_4(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(cli.CHECKS, "orthogonality",
+                        lambda k, n, s: (k != 2, "0", "forced"))
+    command = "sweep --k-max 3 --n-max 2 --s 1 --checks orthogonality"
+    assert run(capsys, command) == (4, FAILED_SWEEP_JSON)
+    assert run(capsys, command + " --format csv --out f.csv") == (
+        4, "4/6 checks passed; 2 failures; report written to f.csv\n"
+    )
+    assert (tmp_path / "f.csv").read_text(encoding="utf-8") == FAILED_SWEEP_CSV

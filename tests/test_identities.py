@@ -8,7 +8,6 @@ from crsums.crsum import CrsQuery, crs_multiplicative
 from crsums.identities import (
     delange_bound,
     divisor_abs_sum,
-    divisor_sum_record,
     equality_case_holds,
     grytczuk_value,
     orthogonality_sum,
@@ -55,10 +54,9 @@ def test_s_kn_examples():
     assert s_kn_closed_form(3, 3, 1) == 2
 
 
-def test_divisor_sum_record():
-    record = divisor_sum_record(4, 2, 1)
+def test_bound_equality_cell_example():
     # n = 2 = 2^1 and k = 4 = 2·rad(2): a bound-equality cell
-    assert (record.h_value, record.delange_bound, record.grytczuk_value) == (4, 4, 4)
+    assert (divisor_abs_sum(4, 2, 1), delange_bound(4, 2, 1), grytczuk_value(4, 2, 1)) == (4, 4, 4)
 
 
 # ---------------------------------------------------------------- grid invariants
