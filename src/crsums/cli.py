@@ -4,7 +4,8 @@
 evaluator's value must agree with every value of ``crsum.cross_check``.  The
 scalar subcommands (jordan, ggcd, mobius, hsum, grytczuk, skn) are rows of
 one table, ``SCALARS``, served by one handler.  ``sweep`` writes each CSV
-row as its check runs and keeps only the counts and the failures.
+row as its check runs and keeps only the counts and the failures.  ``main``
+fully builds only the subcommand its argv names; the others stay bare entries.
 
 Exit codes are stable: 0 success, 2 usage/parse/precondition failure,
 3 cross-method disagreement or integrality failure, 4 sweep with failures.
@@ -22,6 +23,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -88,14 +90,20 @@ def _check_crs_agreement(k: int, n: int, s: int) -> tuple[bool, str, str]:
     return passed, str(seen["mobius"]), ",".join(f"{m}={v}" for m, v in seen.items())
 
 
+@lru_cache(maxsize=2)
+def _cell_abs_sum(k: int, n: int, s: int) -> int:
+    """divisor_abs_sum for (k, n, s) or (k, n**s, s), memoised within one sweep cell."""
+    return divisor_abs_sum(k, n, s)
+
+
 def _check_delange_bound(k: int, n: int, s: int) -> tuple[bool, str, str]:
-    h = divisor_abs_sum(k, n, s)
-    bound = delange_bound(k, n, s)
+    h = _cell_abs_sum(k, n, s)
+    bound = delange_bound(k, n)
     return h <= bound, f"<={bound}", str(h)
 
 
 def _check_grytczuk(k: int, n: int, s: int) -> tuple[bool, str, str]:
-    h = divisor_abs_sum(k, n, s)
+    h = _cell_abs_sum(k, n, s)
     closed = grytczuk_value(k, n, s)
     return h == closed, str(closed), str(h)
 
@@ -118,7 +126,7 @@ def _check_equality_case(k: int, n: int, s: int) -> tuple[bool, str, str]:
     # Cell n plays the role of m; the claim only covers k multiples of m·rad(m).
     # Off-claim cells pass vacuously but still report whether equality happened,
     # so unexpected equality (n not an s-th power of the cell base) stays visible.
-    h = divisor_abs_sum(k, n**s, s)
+    h = _cell_abs_sum(k, n**s, s)
     bound = n**s * 2 ** omega(k)
     if equality_case_holds(n, k, s):
         return h == bound, str(bound), str(h)
@@ -178,14 +186,18 @@ def run_sweep(grid: SweepGrid,
     and is not kept; the result holds only the counts and the failures.
     """
     result = SweepResult(grid)
-    for k, n, s in grid.cells():
-        for name in grid.checks:
-            ok, expected, actual = CHECKS[name](k, n, s)
-            result.cells_total += 1
-            result.cells_passed += ok
-            on_row(k, n, s, name, expected, actual, ok)
-            if not ok:
-                result.failures.append((k, n, s, name, expected, actual))
+    _cell_abs_sum.cache_clear()
+    try:
+        for k, n, s in grid.cells():
+            for name in grid.checks:
+                ok, expected, actual = CHECKS[name](k, n, s)
+                result.cells_total += 1
+                result.cells_passed += ok
+                on_row(k, n, s, name, expected, actual, ok)
+                if not ok:
+                    result.failures.append((k, n, s, name, expected, actual))
+    finally:
+        _cell_abs_sum.cache_clear()
     # deterministic regardless of evaluation schedule
     result.failures.sort(key=lambda f: (f[0], f[1], f[2], f[3]))
     return result
@@ -259,7 +271,7 @@ SCALARS: dict[str, Scalar] = {
     "hsum": Scalar(
         ("k", "n", "s"), "divisor absolute sum Σ_{q|k} |c_q^(s)(n)|",
         lambda k, n, s: divisor_abs_sum(k, n, s),
-        lambda k, n, s: {"delange_bound": delange_bound(k, n, s),
+        lambda k, n, s: {"delange_bound": delange_bound(k, n),
                          "grytczuk_value": grytczuk_value(k, n, s)},
     ),
     "grytczuk": Scalar(
@@ -294,19 +306,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["k", "n", "s", "check", "expected", "actual", "pass"])
-        result = run_sweep(
-            grid, lambda *row: writer.writerow([*row[:6], "true" if row[6] else "false"])
-        )
+        result = run_sweep(grid, lambda *row: writer.writerow(
+            [*row[:6], "true" if row[6] else "false"]))
         report = buf.getvalue().rstrip("\n")
     else:
         result = run_sweep(grid)
         report = _sweep_json(result)
     _emit(report, args.out)
     if args.out:
-        print(
-            f"{result.cells_passed}/{result.cells_total} checks passed; "
-            f"{len(result.failures)} failures; report written to {args.out}"
-        )
+        print(f"{result.cells_passed}/{result.cells_total} checks passed; "
+              f"{len(result.failures)} failures; report written to {args.out}")
     return 0 if not result.failures else 4
 
 
@@ -317,21 +326,18 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         raise ValueError(f"cannot read {args.spec_file}: {exc}") from None
     spec = MobiusSpec.from_text(text)
     report = partial_expansion(spec, args.n, args.s, args.q_max)
-    _emit_json(
-        {
-            "label": spec.label,
-            "support_bound": spec.support_bound,
-            "n": report.n,
-            "s": report.s,
-            "q_max": report.q_max,
-            "coefficients": {str(q): str(a) for q, a in report.coefficients.items()},
-            "partial_sum": str(report.partial_sum),
-            "target": str(report.target),
-            "residual": str(report.residual),
-            "condition_sum": str(report.condition_sum),
-        },
-        args.out,
-    )
+    _emit_json({
+        "label": spec.label,
+        "support_bound": spec.support_bound,
+        "n": report.n,
+        "s": report.s,
+        "q_max": report.q_max,
+        "coefficients": {str(q): str(a) for q, a in report.coefficients.items()},
+        "partial_sum": str(report.partial_sum),
+        "target": str(report.target),
+        "residual": str(report.residual),
+        "condition_sum": str(report.condition_sum),
+    }, args.out)
     return 0
 
 
@@ -349,13 +355,12 @@ def _positive(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit a JSON object instead of the bare value")
-    common.add_argument("--out", metavar="PATH",
-                        help="write the output to PATH instead of stdout")
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The crsums parser; only the subcommand ``command`` names is fully built.
 
+    The others are bare entries: the top-level help, usage and "invalid
+    choice" text read only their names and help lines.  None builds them all.
+    """
     parser = argparse.ArgumentParser(
         prog="crsums",
         description="Exact Cohen-Ramanujan sums, divisor-sum identities, "
@@ -363,50 +368,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("crsum", parents=[common], help="evaluate c_q^(s)(n)")
-    p.add_argument("q", type=_positive)
-    p.add_argument("n", type=_positive)
-    p.add_argument("--s", type=_positive, default=1)
-    p.add_argument("--method", default="auto",
-                   choices=("auto", "direct", "mobius", "multiplicative", "hoelder"))
-    p.add_argument("--checked", action="store_true",
-                   help="cross-verify against independent evaluators (exit 3 on mismatch)")
-    p.set_defaults(func=_cmd_crsum)
+    def add(name: str, text: str, func: Callable[[argparse.Namespace], int],
+            s_option: bool = True) -> argparse.ArgumentParser | None:
+        if command not in (None, name):
+            sub.add_parser(name, help=text, add_help=False)
+            return None
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        p.add_argument("--json", action="store_true",
+                       help="emit a JSON object instead of the bare value")
+        p.add_argument("--out", metavar="PATH",
+                       help="write the output to PATH instead of stdout")
+        if s_option:
+            p.add_argument("--s", type=_positive, default=1)
+        return p
+
+    if p := add("crsum", "evaluate c_q^(s)(n)", _cmd_crsum):
+        p.add_argument("q", type=_positive)
+        p.add_argument("n", type=_positive)
+        p.add_argument("--method", default="auto",
+                       choices=("auto", "direct", "mobius", "multiplicative", "hoelder"))
+        p.add_argument("--checked", action="store_true",
+                       help="cross-verify against independent evaluators (exit 3 on mismatch)")
 
     for name, scalar in SCALARS.items():
-        p = sub.add_parser(name, parents=[common], help=scalar.help)
-        for operand in scalar.operands:
-            if operand == "s":
-                p.add_argument("--s", type=_positive, default=1)
-            else:
-                p.add_argument(operand, type=_positive)
-        p.set_defaults(func=_cmd_scalar)
+        if p := add(name, scalar.help, _cmd_scalar, "s" in scalar.operands):
+            for operand in scalar.operands:
+                if operand != "s":
+                    p.add_argument(operand, type=_positive)
 
-    p = sub.add_parser("sweep", parents=[common],
-                       help="run identity checks over a (k, n, s) grid")
-    p.add_argument("--k-min", type=_positive, default=1)
-    p.add_argument("--k-max", type=_positive, default=50)
-    p.add_argument("--n-min", type=_positive, default=1)
-    p.add_argument("--n-max", type=_positive, default=50)
-    p.add_argument("--s", type=_positive, nargs="+", default=[1, 2, 3])
-    p.add_argument("--checks", nargs="+", choices=sorted(CHECKS), default=sorted(CHECKS))
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_sweep)
+    if p := add("sweep", "run identity checks over a (k, n, s) grid", _cmd_sweep,
+                s_option=False):
+        p.add_argument("--k-min", type=_positive, default=1)
+        p.add_argument("--k-max", type=_positive, default=50)
+        p.add_argument("--n-min", type=_positive, default=1)
+        p.add_argument("--n-max", type=_positive, default=50)
+        p.add_argument("--s", type=_positive, nargs="+", default=[1, 2, 3])
+        p.add_argument("--checks", nargs="+", choices=sorted(CHECKS), default=sorted(CHECKS))
+        p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("expand", parents=[common],
-                       help="expand an arithmetical function from a Möbius-transform file")
-    p.add_argument("spec_file")
-    p.add_argument("n", type=_positive)
-    p.add_argument("--s", type=_positive, default=1)
-    p.add_argument("--q-max", type=_positive, default=None)
-    p.set_defaults(func=_cmd_expand)
+    if p := add("expand", "expand an arithmetical function from a Möbius-transform file",
+                _cmd_expand):
+        p.add_argument("spec_file")
+        p.add_argument("n", type=_positive)
+        p.add_argument("--q-max", type=_positive, default=None)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # The top-level parser has only -h, so this is the token argparse reads as
+    # the command, or else that token ("-", "--", "-5") names no subcommand.
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

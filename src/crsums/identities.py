@@ -35,13 +35,9 @@ def divisor_abs_sum(k: int, n: int, s: int) -> int:
     return sum(abs(_multiplicative_value(q, n, s)) for q in divisors(k))
 
 
-def delange_bound(k: int, n: int, s: int) -> int:
-    """The bound n·2**ω(k) that divisor_abs_sum never exceeds.
-
-    The value does not depend on s; the argument is kept so the three
-    quantities of a sweep cell share one signature.
-    """
-    _require_positive(k=k, n=n, s=s)
+def delange_bound(k: int, n: int) -> int:
+    """The bound n·2**ω(k) that divisor_abs_sum(k, n, s) never exceeds, for every s."""
+    _require_positive(k=k, n=n)
     return n * 2 ** omega(k)
 
 

@@ -60,7 +60,7 @@ def divisor_sum_grid():
             for n in range(1, 201):
                 table[(k, n, s)] = (
                     divisor_abs_sum(k, n, s),
-                    delange_bound(k, n, s),
+                    delange_bound(k, n),
                     grytczuk_value(k, n, s),
                 )
     return table

@@ -8,7 +8,9 @@ import json
 import pytest
 
 import crsums.crsum as crsum_module
-from crsums.cli import CHECKS, SweepGrid, main, run_sweep
+import crsums.identities as identities_module
+from crsums import cli
+from crsums.cli import CHECKS, SweepGrid, build_parser, main, run_sweep
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -110,6 +112,30 @@ def test_point_query_out_file(capsys, tmp_path):
     assert json.loads(target.read_text())["value"] == 3
 
 
+# ---------------------------------------------------------------- parser
+
+# One valid argv per subcommand, exercising its options.
+VALID_ARGV = {
+    "crsum": "crsum 6 4 --s 2 --method mobius --checked --json",
+    "jordan": "jordan 6 --s 2",
+    "ggcd": "ggcd 16 48 --s 2 --out g.txt",
+    "mobius": "mobius 30 --json",
+    "hsum": "hsum 6 4 --s 3",
+    "grytczuk": "grytczuk 4 2 --json",
+    "skn": "skn 6 36 --s 2",
+    "sweep": "sweep --k-max 3 --n-min 2 --s 1 2 --checks orthogonality --format csv",
+    "expand": "expand f.spec 12 --s 2 --q-max 4 --json",
+}
+
+
+@pytest.mark.parametrize("command", list(VALID_ARGV))
+def test_lazy_parser_gives_the_full_parsers_namespace(command):
+    argv = VALID_ARGV[command].split()
+    full = vars(build_parser().parse_args(argv))
+    assert full["command"] == command
+    assert vars(build_parser(command).parse_args(argv)) == full
+
+
 # ---------------------------------------------------------------- sweep
 
 
@@ -128,6 +154,21 @@ def test_run_sweep_counts():
     assert result.cells_total == 10 * 10 * 2 * len(CHECKS)
     assert result.cells_passed == result.cells_total
     assert result.failures == []
+
+
+def test_run_sweep_computes_divisor_abs_sum_once_per_cell_triple(monkeypatch):
+    calls = []
+
+    def counted(k, n, s):
+        calls.append((k, n, s))
+        return identities_module.divisor_abs_sum(k, n, s)
+
+    monkeypatch.setattr(cli, "divisor_abs_sum", counted)
+    checks = ("delange-bound", "equality-case", "grytczuk-equality")
+    assert run_sweep(SweepGrid((1, 4), (1, 4), (1, 2), checks)).failures == []
+    # A cell needs (k, n, s) and (k, n**s, s); they coincide when s = 1 or n = 1.
+    assert len(calls) == 16 + 4 + 12 * 2
+    assert cli._cell_abs_sum.cache_info().currsize == 0
 
 
 def test_sweep_json_report(capsys, tmp_path):

@@ -261,3 +261,96 @@ def test_forced_sweep_failure_exits_4(capsys, tmp_path, monkeypatch):
         4, "4/6 checks passed; 2 failures; report written to f.csv\n"
     )
     assert (tmp_path / "f.csv").read_text(encoding="utf-8") == FAILED_SWEEP_CSV
+
+
+# ---------------------------------------------------------------- help and parse errors
+
+TOP_USAGE = "usage: crsums [-h] command ...\n"
+TOP_HELP = TOP_USAGE + """
+Exact Cohen-Ramanujan sums, divisor-sum identities, and finite-support
+expansion checks.
+
+positional arguments:
+  command
+    crsum     evaluate c_q^(s)(n)
+    jordan    Jordan totient J_s(n)
+    ggcd      generalized gcd (a,b)_s, returned as the s-th power d**s
+    mobius    Möbius function μ(n)
+    hsum      divisor absolute sum Σ_{q|k} |c_q^(s)(n)|
+    grytczuk  closed form 2**w(k^s/(k^s,n)_s)·(k^s,n)_s of the divisor sum
+    skn       Möbius-inverted divisor sum S(k,n) = |c_k^(s)(n)|
+    sweep     run identity checks over a (k, n, s) grid
+    expand    expand an arithmetical function from a Möbius-transform file
+
+options:
+  -h, --help  show this help message and exit
+"""
+COMMAND_CHOICES = ("(choose from 'crsum', 'jordan', 'ggcd', 'mobius', 'hsum', "
+                   "'grytczuk', 'skn', 'sweep', 'expand')")
+CRSUM_USAGE = """\
+usage: crsums crsum [-h] [--json] [--out PATH] [--s S]
+                    [--method {auto,direct,mobius,multiplicative,hoelder}]
+                    [--checked]
+                    q n
+"""
+CHECK_NAMES = ("crs-agreement,delange-bound,equality-case,grytczuk-equality,"
+               "orthogonality,skn-consistency")
+SWEEP_USAGE = f"""\
+usage: crsums sweep [-h] [--json] [--out PATH] [--k-min K_MIN] [--k-max K_MAX]
+                    [--n-min N_MIN] [--n-max N_MAX] [--s S [S ...]]
+                    [--checks {{{CHECK_NAMES}}} [{{{CHECK_NAMES}}} ...]]
+                    [--format {{json,csv}}]
+"""
+
+# Subcommand help pages, by SHA-256 and size of stdout; stderr is empty.
+SUBCOMMAND_HELP = {
+    "crsum": ("a62f7f93de1b83483bf6f5a12e37a085ce6ce49caed550674668a58e2448554c", 595),
+    "jordan": ("8d03aa326ba563514bc3d2f8cf0d951a29b4567ca086f6fe6c39c7dbb21925e2", 265),
+    "ggcd": ("3d55f6ae77c62e40302c3c6a46eb124aea6a498328d21bd87f5f13d9d7c6ca48", 269),
+    "mobius": ("6176330c007dd40f27b70480751188ab961f5abe91b0d978e5d8f2860f280d87", 249),
+    "hsum": ("459cd83e72d903a545f67c0e3bb1c3054fd16ec9d0e813d7be95f30be69f42b9", 269),
+    "grytczuk": ("9878dcca7897d924d1f37fcf43f216ff65b35b6269c2ae03f9906d75c5bbd26d", 273),
+    "skn": ("2d7adaca932edae4a08668554bd4bcc8dda07ff8d872825b1867cc72a2787fd5", 268),
+    "sweep": ("68f2f673eeec76c26ec950c7d2fd07df24dd15ae18b8d0dd42ea9e79139c6c70", 915),
+    "expand": ("b086be4d265e7b763a4e55bd0686876d1adf94d5f205c4061defd4f51d6fe8c1", 349),
+}
+
+# argv -> (exit code, stdout, stderr)
+PARSER_CASES = {
+    "-h": (0, TOP_HELP, ""),
+    "-h mobius": (0, TOP_HELP, ""),
+    "": (2, "", TOP_USAGE + "crsums: error: the following arguments are required: command\n"),
+    "nope 1": (2, "", TOP_USAGE + "crsums: error: argument command: invalid choice: "
+                                  f"'nope' {COMMAND_CHOICES}\n"),
+    "-- mobius 5": (2, "", TOP_USAGE + "crsums: error: argument command: invalid choice: "
+                                       f"'--' {COMMAND_CHOICES}\n"),
+    "--json mobius 5": (2, "", TOP_USAGE + "crsums: error: unrecognized arguments: --json\n"),
+    "mobius 5 6": (2, "", TOP_USAGE + "crsums: error: unrecognized arguments: 6\n"),
+    "mobius": (2, "", "usage: crsums mobius [-h] [--json] [--out PATH] n\n"
+                      "crsums mobius: error: the following arguments are required: n\n"),
+    "crsum 4 2 --method x": (2, "", CRSUM_USAGE + "crsums crsum: error: argument --method: "
+                             "invalid choice: 'x' (choose from 'auto', 'direct', 'mobius', "
+                             "'multiplicative', 'hoelder')\n"),
+    "sweep --checks bogus": (2, "", SWEEP_USAGE + "crsums sweep: error: argument --checks: "
+                             "invalid choice: 'bogus' (choose from 'crs-agreement', "
+                             "'delange-bound', 'equality-case', 'grytczuk-equality', "
+                             "'orthogonality', 'skn-consistency')\n"),
+}
+
+
+def run_parser(capsys, monkeypatch, command: str) -> tuple[int, str, str]:
+    monkeypatch.setenv("COLUMNS", "80")
+    code = cli.main(command.split())
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", list(PARSER_CASES), ids=repr)
+def test_parser_text(capsys, monkeypatch, command):
+    assert run_parser(capsys, monkeypatch, command) == PARSER_CASES[command]
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMAND_HELP))
+def test_subcommand_help(capsys, monkeypatch, name):
+    code, out, err = run_parser(capsys, monkeypatch, f"{name} -h")
+    assert (code, digest(out), err) == (0, SUBCOMMAND_HELP[name], "")

@@ -27,9 +27,9 @@ def test_divisor_abs_sum_examples():
 
 
 def test_delange_bound_examples():
-    assert delange_bound(1, 1, 1) == 1
-    assert delange_bound(2, 4, 2) == 8
-    assert delange_bound(6, 1, 1) == 4
+    assert delange_bound(1, 1) == 1
+    assert delange_bound(2, 4) == 8
+    assert delange_bound(6, 1) == 4
     assert divisor_abs_sum(6, 1, 1) == 4  # tight here
 
 
@@ -56,7 +56,7 @@ def test_s_kn_examples():
 
 def test_bound_equality_cell_example():
     # n = 2 = 2^1 and k = 4 = 2·rad(2): a bound-equality cell
-    assert (divisor_abs_sum(4, 2, 1), delange_bound(4, 2, 1), grytczuk_value(4, 2, 1)) == (4, 4, 4)
+    assert (divisor_abs_sum(4, 2, 1), delange_bound(4, 2), grytczuk_value(4, 2, 1)) == (4, 4, 4)
 
 
 # ---------------------------------------------------------------- grid invariants
@@ -68,7 +68,7 @@ def test_bound_and_closed_form_on_grid():
             for n in range(1, 81):
                 h = divisor_abs_sum(k, n, s)
                 assert h == grytczuk_value(k, n, s)
-                assert h <= delange_bound(k, n, s)
+                assert h <= delange_bound(k, n)
 
 
 def test_grytczuk_multiplicative_in_k():
@@ -123,7 +123,7 @@ def test_equality_case_examples():
     assert equality_case_holds(2, 4, 2)
     assert divisor_abs_sum(4, 4, 2) == 4 * 2 ** omega(4) == 1 + 3 + 4
     assert not equality_case_holds(2, 2, 1)
-    assert divisor_abs_sum(2, 2, 1) < delange_bound(2, 2, 1)
+    assert divisor_abs_sum(2, 2, 1) < delange_bound(2, 2)
     for k in (1, 17, 60):
         assert equality_case_holds(1, k, 2)
         assert divisor_abs_sum(k, 1, 2) == 2 ** omega(k)
