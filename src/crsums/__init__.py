@@ -1,51 +1,22 @@
 """Exact arithmetic for Cohen-Ramanujan sums and their identities."""
 
 from .arith import (
-    divisors,
-    factorize,
-    generalized_gcd,
-    inverse_mobius_transform,
-    is_prime,
-    jordan_totient,
-    mobius,
-    mobius_transform,
-    omega,
-    prime_exponent,
-    radical,
-    s_adapted_gcd,
-    s_exponent,
+    divisors, factorize, generalized_gcd, inverse_mobius_transform, is_prime,
+    jordan_totient, mobius, mobius_transform, omega, prime_exponent, radical,
+    s_adapted_gcd, s_exponent,
 )
 from .crsum import (
-    CHECKED_DIRECT_GUARD,
-    DIRECT_GUARD,
-    CrossCheckError,
-    CrsQuery,
-    CrsValue,
-    DirectRoundingError,
-    crs,
-    crs_direct,
-    crs_hoelder,
-    crs_mobius,
-    crs_multiplicative,
-    cross_check,
+    CHECKED_DIRECT_GUARD, DIRECT_GUARD, CrossCheckError, CrsQuery, CrsValue,
+    DirectRoundingError, crs, crs_direct, crs_hoelder, crs_mobius,
+    crs_multiplicative, cross_check,
 )
 from .expansions import (
-    ExpansionReport,
-    MobiusSpec,
-    coefficient,
-    delange_condition_sum,
-    f_from_spec,
-    partial_expansion,
-    rearrangement_check,
+    Expansion, ExpansionReport, MobiusSpec, coefficient, delange_condition_sum,
+    f_from_spec, partial_expansion, rearrangement_check,
 )
 from .identities import (
-    delange_bound,
-    divisor_abs_sum,
-    equality_case_holds,
-    grytczuk_value,
-    orthogonality_sum,
-    s_kn_closed_form,
-    s_kn_mobius,
+    delange_bound, divisor_abs_sum, equality_case_holds, grytczuk_value,
+    orthogonality_sum, s_kn_closed_form, s_kn_mobius,
 )
 
 __version__ = "0.1.0"
@@ -57,6 +28,7 @@ __all__ = [
     "CrsQuery",
     "CrsValue",
     "DirectRoundingError",
+    "Expansion",
     "ExpansionReport",
     "MobiusSpec",
     "coefficient",

@@ -9,14 +9,18 @@ model turns every series below into a finite sum of exact rationals:
     f(n)  = Σ_q a_q · c_q^(s)(n**s)             (the expansion itself)
 
 and the convergence condition Σ_k 2**ω(k)·|f'(k)|/k**s is a finite sum
-reported for diagnostics.  All arithmetic uses ``fractions.Fraction``;
-floats appear only in display formatting elsewhere.
+reported for diagnostics.  ``Expansion`` puts every a_q over one common
+denominator L = lcm{k**s : k in the support}, keeping the integer
+numerators only for the q that divide a support entry (Σ d(k) of them at
+most, whatever K is), so the sums here are integer sums over L that become
+``fractions.Fraction`` only in the returned values.  No float is involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from .arith import _require_positive, divisors, omega
@@ -118,18 +122,40 @@ class ExpansionReport:
 def f_from_spec(spec: MobiusSpec, n: int) -> int:
     """f(n) = Σ_{d|n} f'(d), with f' zero beyond the support."""
     _require_positive(n=n)
-    return sum(spec.fprime(d) for d in divisors(n) if d <= spec.support_bound)
+    return sum(spec.values.get(d, 0) for d in divisors(n))
+
+
+class Expansion:
+    """The coefficients a_q of one (f, s) as integers over one common denominator.
+
+    ``denominator`` is L = lcm{k**s : k in the support} (1 for an empty
+    support), ``weights`` maps each support entry k to w_k = f'(k)·L/k**s,
+    and ``numerators`` maps each q that divides some support entry, in
+    increasing order, to A_q = Σ_{q|k} w_k, so that a_q = A_q/L and a_q = 0
+    for every other q.  Building it costs Σ d(k) over the support,
+    independent of K and n.
+    """
+
+    def __init__(self, spec: MobiusSpec, s: int) -> None:
+        _require_positive(s=s)
+        self.denominator = lcm(*(k**s for k in spec.values))
+        self.weights = {k: fp * (self.denominator // k**s) for k, fp in spec.values.items()}
+        numerators: dict[int, int] = {}
+        for k, w in self.weights.items():
+            for q in divisors(k):
+                numerators[q] = numerators.get(q, 0) + w
+        self.numerators = dict(sorted(numerators.items()))
+
+    def condition_sum(self) -> Fraction:
+        total = sum(2 ** omega(k) * abs(w) for k, w in self.weights.items())
+        return Fraction(total, self.denominator)
 
 
 def coefficient(spec: MobiusSpec, q: int, s: int) -> Fraction:
     """a_q = Σ_{m·q <= K} f'(m·q)/(m·q)**s, an exact rational."""
-    _require_positive(q=q, s=s)
-    total = Fraction(0)
-    for k in range(q, spec.support_bound + 1, q):
-        fp = spec.fprime(k)
-        if fp:
-            total += Fraction(fp, k**s)
-    return total
+    _require_positive(q=q)
+    expansion = Expansion(spec, s)
+    return Fraction(expansion.numerators.get(q, 0), expansion.denominator)
 
 
 def delange_condition_sum(spec: MobiusSpec, s: int) -> Fraction:
@@ -138,11 +164,7 @@ def delange_condition_sum(spec: MobiusSpec, s: int) -> Fraction:
     Finite support makes the convergence hypothesis hold automatically;
     the value is reported so different specs can be compared.
     """
-    _require_positive(s=s)
-    total = Fraction(0)
-    for k, fp in spec.values.items():
-        total += Fraction(2 ** omega(k) * abs(fp), k**s)
-    return total
+    return Expansion(spec, s).condition_sum()
 
 
 def partial_expansion(
@@ -150,31 +172,35 @@ def partial_expansion(
 ) -> ExpansionReport:
     """Sum the expansion through q_max and report against the exact target.
 
-    a_q vanishes for q beyond the support, so with q_max >= K the series
-    terminates and the residual is exactly 0.
+    a_q vanishes for q dividing no support entry, so with q_max >= K the
+    series terminates and the residual is exactly 0.
     """
     _require_positive(n=n, s=s)
     if q_max is None:
         q_max = spec.support_bound
     _require_positive(q_max=q_max)
     ns = n**s
-    coefficients: dict[int, Fraction] = {}
-    partial = Fraction(0)
-    for q in range(1, q_max + 1):
-        a_q = coefficient(spec, q, s)
-        coefficients[q] = a_q
-        if a_q:
-            partial += a_q * _multiplicative_value(q, ns, s)
+    expansion = Expansion(spec, s)
+    denominator = expansion.denominator
+    coefficients = dict.fromkeys(range(1, q_max + 1), Fraction(0))
+    partial = 0
+    for q, a in expansion.numerators.items():
+        if q > q_max:
+            break
+        if a:
+            coefficients[q] = Fraction(a, denominator)
+            partial += a * _multiplicative_value(q, ns, s)
+    partial_sum = Fraction(partial, denominator)
     target = Fraction(f_from_spec(spec, n))
     return ExpansionReport(
         s=s,
         n=n,
         q_max=q_max,
         coefficients=coefficients,
-        partial_sum=partial,
+        partial_sum=partial_sum,
         target=target,
-        residual=partial - target,
-        condition_sum=delange_condition_sum(spec, s),
+        residual=partial_sum - target,
+        condition_sum=expansion.condition_sum(),
     )
 
 
@@ -182,9 +208,11 @@ def rearrangement_check(spec: MobiusSpec, n: int, s: int) -> bool:
     """Verify the absolute-series rearrangement three ways, exactly.
 
     The double sum Σ_q Σ_m |f'(mq)|/(mq)**s · |c_q^(s)(n**s)| is computed by
-    literal (m, q) enumeration, then regrouped along k = m·q through the
-    divisor absolute sum, then once more through its closed form.  True iff
-    the three rationals coincide, every term satisfies the chain
+    literal enumeration of the pairs (q, k = m·q) over the support, then
+    regrouped along k through the divisor absolute sum, then once more
+    through its closed form; all three are integers over the common
+    denominator of ``Expansion``.  True iff the three coincide, every k in
+    1..K satisfies the chain
 
         2**ω(k**s/(k**s, n**s)_s) · (k**s, n**s)_s >= 2**ω(k),
 
@@ -192,31 +220,26 @@ def rearrangement_check(spec: MobiusSpec, n: int, s: int) -> bool:
     A False return means an identity was violated, i.e. a bug.
     """
     _require_positive(n=n, s=s)
-    bound = spec.support_bound
     ns = n**s
+    expansion = Expansion(spec, s)
+    weights = {k: abs(w) for k, w in expansion.weights.items()}
 
-    double_sum = Fraction(0)
-    for q in range(1, bound + 1):
+    double_sum = 0
+    for q in expansion.numerators:
         cq = abs(_multiplicative_value(q, ns, s))
-        if cq == 0:
-            continue
-        for k in range(q, bound + 1, q):
-            fp = spec.fprime(k)
-            if fp:
-                double_sum += Fraction(abs(fp) * cq, k**s)
+        if cq:
+            double_sum += cq * sum(w for k, w in weights.items() if k % q == 0)
 
-    grouped = Fraction(0)
-    closed = Fraction(0)
-    omega_sum = Fraction(0)
-    for k in range(1, bound + 1):
+    grouped = sum(w * divisor_abs_sum(k, ns, s) for k, w in weights.items())
+    closed = omega_sum = 0
+    for k in range(1, spec.support_bound + 1):
         closed_term = grytczuk_value(k, ns, s)
-        if closed_term < 2 ** omega(k):  # termwise lower bound must hold
+        lower = 2 ** omega(k)
+        if closed_term < lower:  # termwise lower bound must hold
             return False
-        fp = abs(spec.fprime(k))
-        if fp:
-            weight = Fraction(fp, k**s)
-            grouped += weight * divisor_abs_sum(k, ns, s)
-            closed += weight * closed_term
-            omega_sum += weight * 2 ** omega(k)
+        w = weights.get(k)
+        if w:
+            closed += w * closed_term
+            omega_sum += w * lower
 
     return double_sum == grouped == closed and omega_sum <= closed

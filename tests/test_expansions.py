@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from crsums.arith import mobius_transform
+from crsums import expansions
+from crsums.arith import divisors, mobius_transform, omega
+from crsums.crsum import CrsQuery, crs_mobius
 from crsums.expansions import (
+    Expansion,
     MobiusSpec,
     coefficient,
     delange_condition_sum,
@@ -26,6 +31,37 @@ def random_specs(count: int, seed: int, max_bound: int = 40) -> list[MobiusSpec]
         values = {k: rng.randint(-9, 9) for k in range(1, bound + 1)}
         specs.append(MobiusSpec(bound, values, label=f"random-{i}"))
     return specs
+
+
+def sparse_specs(count: int, seed: int) -> list[MobiusSpec]:
+    rng = random.Random(seed)
+    specs = []
+    for i in range(count):
+        bound = rng.randint(1, 1000)
+        keys = rng.sample(range(1, bound + 1), min(bound, rng.randint(0, 8)))
+        values = {k: rng.choice([-7, -2, -1, 1, 3, 9]) for k in keys}
+        specs.append(MobiusSpec(bound, values, label=f"sparse-{i}"))
+    return specs
+
+
+# The literal definitions, summed term by term in Fractions, are the
+# references for the integer numerators over the common denominator.
+
+
+def reference_coefficient(spec: MobiusSpec, q: int, s: int) -> Fraction:
+    """a_q = Σ_{m·q <= K} f'(m·q)/(m·q)**s."""
+    total = Fraction(0)
+    for k in range(q, spec.support_bound + 1, q):
+        total += Fraction(spec.fprime(k), k**s)
+    return total
+
+
+def reference_condition_sum(spec: MobiusSpec, s: int) -> Fraction:
+    """Σ_{k <= K} 2**ω(k)·|f'(k)|/k**s."""
+    total = Fraction(0)
+    for k in range(1, spec.support_bound + 1):
+        total += Fraction(2 ** omega(k) * abs(spec.fprime(k)), k**s)
+    return total
 
 
 # ---------------------------------------------------------------- spec object
@@ -65,6 +101,32 @@ def test_coefficient_examples():
     assert coefficient(spec, 1, 1) == Fraction(3, 2)
     assert coefficient(spec, 2, 1) == Fraction(1, 2)
     assert coefficient(spec, 3, 1) == 0
+
+
+def test_expansion_numerators_match_the_reference():
+    rng = random.Random(31)
+    for spec in random_specs(15, seed=5) + sparse_specs(15, seed=6):
+        support = spec.values
+        for s in (1, 2, 3):
+            expansion = Expansion(spec, s)
+            assert expansion.denominator == lcm(*(k**s for k in support))
+            assert expansion.weights == {
+                k: fp * expansion.denominator // k**s for k, fp in support.items()
+            }
+            dividing = sorted({q for k in support for q in divisors(k)})
+            assert list(expansion.numerators) == dividing
+            for q, a in expansion.numerators.items():
+                assert Fraction(a, expansion.denominator) == reference_coefficient(spec, q, s)
+            for q in rng.sample(range(1, spec.support_bound + 1), min(spec.support_bound, 20)):
+                assert coefficient(spec, q, s) == reference_coefficient(spec, q, s)
+            assert delange_condition_sum(spec, s) == reference_condition_sum(spec, s)
+
+
+def test_expansion_of_an_empty_support():
+    expansion = Expansion(MobiusSpec(5, {3: 0}), 2)
+    assert (expansion.denominator, expansion.weights, expansion.numerators) == (1, {}, {})
+    assert coefficient(MobiusSpec(5, {}), 1, 1) == 0
+    assert delange_condition_sum(MobiusSpec(5, {}), 3) == 0
 
 
 def test_coefficient_additive_in_spec_values():
@@ -120,6 +182,43 @@ def test_exact_reconstruction_random_specs():
                 assert report.partial_sum == f_from_spec(spec, n)
 
 
+def test_partial_expansion_matches_the_reference():
+    rng = random.Random(2718)
+    specs = random_specs(10, seed=808, max_bound=30) + sparse_specs(4, seed=809)
+    for spec in specs:
+        for s in (1, 2, 3):
+            n = rng.randint(1, 200)
+            for q_max in (rng.randint(1, spec.support_bound),
+                          spec.support_bound + rng.randint(1, 30)):
+                report = partial_expansion(spec, n, s, q_max)
+                reference = {q: reference_coefficient(spec, q, s) for q in range(1, q_max + 1)}
+                assert report.coefficients == reference
+                assert list(report.coefficients) == list(reference)
+                assert all(type(a) is Fraction for a in report.coefficients.values())
+                partial = sum(a * crs_mobius(CrsQuery(q, n**s, s)).value
+                              for q, a in reference.items())
+                assert report.partial_sum == partial
+                assert report.residual == partial - f_from_spec(spec, n)
+                assert report.condition_sum == reference_condition_sum(spec, s)
+
+
+def test_partial_expansion_skips_the_scan_of_a_huge_sparse_support():
+    # The support 1..10**12 has two entries; a_q depends only on their divisors.
+    spec = MobiusSpec(10**12, {1: 1, 2**39: 3})
+    start = time.perf_counter()
+    report = partial_expansion(spec, 192, 2, q_max=64)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    # Σ_{q|64} c_q^(2)(192**2) = 64**2 by orthogonality, and 2**39 does not divide 192.
+    assert report.partial_sum == 1 + Fraction(3 * 64**2, 2**78)
+    assert report.target == 1
+    assert report.residual == Fraction(3, 2**66)
+    assert report.coefficients[1] == 1 + Fraction(3, 2**78)
+    assert report.coefficients[64] == Fraction(3, 2**78)
+    assert report.coefficients[63] == 0
+    assert coefficient(spec, 1, 2) == 1 + Fraction(3, 2**78)
+
+
 # ---------------------------------------------------------------- rearrangement
 
 
@@ -134,6 +233,32 @@ def test_rearrangement_random_specs():
         for s in (1, 2, 3):
             for n in (1, 2, 3, 5, 8, 13, 21, 34):
                 assert rearrangement_check(spec, n, s)
+
+
+def test_rearrangement_sparse_specs():
+    for spec in sparse_specs(6, seed=404):
+        for s in (1, 2, 3):
+            for n in (1, 6, 17, 36):
+                assert rearrangement_check(spec, n, s)
+
+
+@pytest.mark.parametrize("name", ["divisor_abs_sum", "grytczuk_value", "_multiplicative_value"])
+def test_rearrangement_detects_a_wrong_route(monkeypatch, name):
+    spec = MobiusSpec(12, {2: 3, 6: -1, 12: 2})
+    assert rearrangement_check(spec, 4, 2)
+    original = getattr(expansions, name)
+    # 12 is in the support and divides no other entry, so each route shifts.
+    monkeypatch.setattr(expansions, name, lambda k, n, s: original(k, n, s) + (k == 12))
+    assert not rearrangement_check(spec, 4, 2)
+
+
+def test_rearrangement_checks_the_lower_bound_off_the_support(monkeypatch):
+    spec = MobiusSpec(12, {2: 3})
+    assert rearrangement_check(spec, 4, 2)
+    original = expansions.grytczuk_value
+    monkeypatch.setattr(expansions, "grytczuk_value",
+                        lambda k, n, s: 0 if k == 11 else original(k, n, s))
+    assert not rearrangement_check(spec, 4, 2)
 
 
 # ---------------------------------------------------------------- round trip

@@ -185,6 +185,52 @@ def test_expand(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "e.json").read_text(encoding="utf-8") == EXPAND_FULL
 
 
+# a_q cancels to 0 at q = 1 and 2, which divide support entries; an all-zero
+# spec has an empty support.
+EXPAND_SPECS = {
+    "f.spec": SPEC,
+    "c.spec": "K=4\nlabel=cancel\n2=2\n4=-4\n",
+    "e.spec": "K=3\nlabel=empty\n2=0\n",
+}
+
+EXPAND_CASES = [
+    ("expand f.spec 5 --q-max 9 --json",
+     '{"label":"golden","support_bound":6,"n":5,"s":1,"q_max":9,'
+     '"coefficients":{"1":"-1/6","2":"-7/6","3":"1/3","4":"0","5":"0","6":"1/3",'
+     '"7":"0","8":"0","9":"0"},'
+     '"partial_sum":"1","target":"1","residual":"0","condition_sum":"16/3"}\n'),
+    ("expand f.spec 7 --s 3",
+     '{"label":"golden","support_bound":6,"n":7,"s":3,"q_max":6,'
+     '"coefficients":{"1":"137/216","2":"-79/216","3":"1/108","4":"0","5":"0",'
+     '"6":"1/108"},'
+     '"partial_sum":"1","target":"1","residual":"0","condition_sum":"193/108"}\n'),
+    ("expand c.spec 6",
+     '{"label":"cancel","support_bound":4,"n":6,"s":1,"q_max":4,'
+     '"coefficients":{"1":"0","2":"0","3":"0","4":"-1"},'
+     '"partial_sum":"2","target":"2","residual":"0","condition_sum":"4"}\n'),
+    ("expand c.spec 4 --q-max 3",
+     '{"label":"cancel","support_bound":4,"n":4,"s":1,"q_max":3,'
+     '"coefficients":{"1":"0","2":"0","3":"0"},'
+     '"partial_sum":"0","target":"-2","residual":"2","condition_sum":"4"}\n'),
+    ("expand e.spec 2 --s 2",
+     '{"label":"empty","support_bound":3,"n":2,"s":2,"q_max":3,'
+     '"coefficients":{"1":"0","2":"0","3":"0"},'
+     '"partial_sum":"0","target":"0","residual":"0","condition_sum":"0"}\n'),
+    ("expand e.spec 1 --q-max 5",
+     '{"label":"empty","support_bound":3,"n":1,"s":1,"q_max":5,'
+     '"coefficients":{"1":"0","2":"0","3":"0","4":"0","5":"0"},'
+     '"partial_sum":"0","target":"0","residual":"0","condition_sum":"0"}\n'),
+]
+
+
+@pytest.mark.parametrize("command,expected", EXPAND_CASES)
+def test_expand_cases(capsys, tmp_path, monkeypatch, command, expected):
+    monkeypatch.chdir(tmp_path)
+    for name, text in EXPAND_SPECS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert run(capsys, command) == (0, expected)
+
+
 # ---------------------------------------------------------------- exit codes
 
 
