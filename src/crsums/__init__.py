@@ -1,9 +1,8 @@
 """Exact arithmetic for Cohen-Ramanujan sums and their identities."""
 
 from .arith import (
-    divisors, factorize, generalized_gcd, inverse_mobius_transform, is_prime,
-    jordan_totient, mobius, mobius_transform, omega, prime_exponent, radical,
-    s_adapted_gcd, s_exponent,
+    divisors, factorize, generalized_gcd, jordan_totient, mobius, omega,
+    radical, s_adapted_gcd,
 )
 from .crsum import (
     CHECKED_DIRECT_GUARD, DIRECT_GUARD, CrossCheckError, CrsQuery, CrsValue,
@@ -47,19 +46,14 @@ __all__ = [
     "factorize",
     "generalized_gcd",
     "grytczuk_value",
-    "inverse_mobius_transform",
-    "is_prime",
     "jordan_totient",
     "mobius",
-    "mobius_transform",
     "omega",
     "orthogonality_sum",
     "partial_expansion",
-    "prime_exponent",
     "radical",
     "rearrangement_check",
     "s_adapted_gcd",
-    "s_exponent",
     "s_kn_closed_form",
     "s_kn_mobius",
 ]

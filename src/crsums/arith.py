@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import Mapping
 
 
 def _require_positive(**values: int) -> None:
@@ -20,29 +19,16 @@ def _require_positive(**values: int) -> None:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (inputs here stay small)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return True
-
-
 @lru_cache(maxsize=1 << 16)
-def factorize(n: int) -> tuple[tuple[int, int], ...]:
+def factorize(n: int, /) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n as (prime, exponent) pairs, primes increasing.
 
     factorize(1) == ().  Deterministic trial division with a 2,3-wheel;
     intended for operands up to ~10**9, which covers every sweep here.
     """
+    # The one check of n for divisors, mobius, omega, radical and f_from_spec.
+    # n is positional-only, so every cache key is an exact int that passed it
+    # and any other operand misses the cache and is refused here.
     _require_positive(n=n)
     pairs: list[tuple[int, int]] = []
     m = n
@@ -68,9 +54,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=1 << 14)
-def divisors(n: int) -> tuple[int, ...]:
+def divisors(n: int, /) -> tuple[int, ...]:
     """All positive divisors of n in increasing order (1 first, n last)."""
-    _require_positive(n=n)
     divs = [1]
     for p, e in factorize(n):
         divs = [d * p**j for d in divs for j in range(e + 1)]
@@ -79,7 +64,6 @@ def divisors(n: int) -> tuple[int, ...]:
 
 def mobius(n: int) -> int:
     """μ(n): 0 if a square divides n, else (-1)**omega(n)."""
-    _require_positive(n=n)
     pairs = factorize(n)
     if any(e > 1 for _, e in pairs):
         return 0
@@ -88,13 +72,11 @@ def mobius(n: int) -> int:
 
 def omega(n: int) -> int:
     """ω(n): number of distinct prime divisors; omega(1) == 0."""
-    _require_positive(n=n)
     return len(factorize(n))
 
 
 def radical(n: int) -> int:
     """rad(n): product of the distinct primes dividing n; radical(1) == 1."""
-    _require_positive(n=n)
     out = 1
     for p, _ in factorize(n):
         out *= p
@@ -154,37 +136,3 @@ def _exponent_of(p: int, k: int) -> int:
         k //= p
         e += 1
     return e
-
-
-def prime_exponent(p: int, k: int) -> int:
-    """e_p(k): the largest e with p**e | k.  p must be prime."""
-    _require_positive(p=p, k=k)
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    return _exponent_of(p, k)
-
-
-def s_exponent(p: int, n: int, s: int) -> int:
-    """Largest a with p**(a·s) | n, i.e. prime_exponent(p, n) // s."""
-    _require_positive(s=s)
-    return prime_exponent(p, n) // s
-
-
-def _table_bound(table: Mapping[int, int], k: int) -> None:
-    bound = max(table, default=0)
-    if k > bound:
-        raise ValueError(f"table covers 1..{bound}, cannot evaluate at {k}")
-
-
-def mobius_transform(f: Mapping[int, int], k: int) -> int:
-    """(μ*f)(k) = Σ_{d|k} μ(d)·f(k/d) from a table of f on 1..K."""
-    _require_positive(k=k)
-    _table_bound(f, k)
-    return sum(mobius(d) * f[k // d] for d in divisors(k))
-
-
-def inverse_mobius_transform(g: Mapping[int, int], k: int) -> int:
-    """Σ_{d|k} g(d); inverts mobius_transform on tables over 1..K."""
-    _require_positive(k=k)
-    _table_bound(g, k)
-    return sum(g[d] for d in divisors(k))

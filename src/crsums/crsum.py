@@ -238,18 +238,16 @@ def cross_check(query: CrsQuery,
     return seen
 
 
-def crs(query: CrsQuery, checked: bool = False,
-        direct_limit: int = CHECKED_DIRECT_GUARD) -> CrsValue:
+def crs(query: CrsQuery, checked: bool = False) -> CrsValue:
     """Default evaluator: the multiplicative fast path.
 
     With ``checked=True`` the value must agree with every evaluator of
-    ``cross_check(query, direct_limit)``; any disagreement raises
-    ``CrossCheckError`` rather than returning a value of uncertain
-    provenance.
+    ``cross_check(query)``; any disagreement raises ``CrossCheckError``
+    rather than returning a value of uncertain provenance.
     """
     if not checked:
         return crs_multiplicative(query)
-    seen = cross_check(query, direct_limit)
+    seen = cross_check(query)
     if len(set(seen.values())) != 1:
         raise CrossCheckError(f"evaluators disagree on {query}: {seen}")
     return CrsValue(seen["multiplicative"], "multiplicative")

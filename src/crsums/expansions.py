@@ -121,7 +121,6 @@ class ExpansionReport:
 
 def f_from_spec(spec: MobiusSpec, n: int) -> int:
     """f(n) = Σ_{d|n} f'(d), with f' zero beyond the support."""
-    _require_positive(n=n)
     return sum(spec.values.get(d, 0) for d in divisors(n))
 
 

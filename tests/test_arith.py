@@ -10,16 +10,11 @@ from crsums.arith import (
     divisors,
     factorize,
     generalized_gcd,
-    inverse_mobius_transform,
-    is_prime,
     jordan_totient,
     mobius,
-    mobius_transform,
     omega,
-    prime_exponent,
     radical,
     s_adapted_gcd,
-    s_exponent,
 )
 
 # ---------------------------------------------------------------- oracles
@@ -76,7 +71,7 @@ def test_factorize_reconstructs_product_and_is_sorted():
             product *= p**e
         assert product == n
         assert list(pairs) == sorted(pairs)
-        assert all(is_prime(p) for p, _ in pairs)
+        assert all(trial_division_smallest_factor(p) == p for p, _ in pairs)
 
 
 # ---------------------------------------------------------------- divisors
@@ -98,6 +93,23 @@ def test_divisors_match_brute_force():
 def test_divisors_rejects_zero():
     with pytest.raises(ValueError):
         divisors(0)
+
+
+def test_keyword_operands_cannot_reach_the_cache():
+    # a cached keyword call would be a key that n=2.0 or an int subclass
+    # matches without reaching the check in factorize
+    class Small(int):
+        pass
+
+    factorize(2)
+    divisors(4)
+    for func, n in ((factorize, 2), (divisors, 4)):
+        for operand in (n, float(n), Small(n)):
+            with pytest.raises(TypeError):
+                func(n=operand)
+        for operand in (float(n), Small(n)):
+            with pytest.raises(ValueError):
+                func(operand)
 
 
 # ---------------------------------------------------------------- mobius / omega
@@ -219,66 +231,3 @@ def test_s_adapted_gcd_defining_property():
                 if s == 1:
                     assert d == math.gcd(a, b)
                 assert d**s == generalized_gcd(a**s, b, s)
-
-
-# ---------------------------------------------------------------- prime exponents
-
-
-def test_prime_exponent_examples():
-    assert prime_exponent(2, 12) == 2
-    assert prime_exponent(3, 10) == 0
-    assert prime_exponent(5, 250) == 3
-
-
-def test_prime_exponent_rejects_composite_base():
-    with pytest.raises(ValueError):
-        prime_exponent(6, 12)
-    with pytest.raises(ValueError):
-        prime_exponent(2, 0)
-
-
-def test_s_exponent():
-    assert s_exponent(2, 4, 2) == 1
-    assert s_exponent(2, 8, 2) == 1  # floor(3/2)
-    assert s_exponent(3, 5, 1) == 0
-    for p in (2, 3, 5):
-        for n in range(1, 200):
-            for s in (1, 2, 3):
-                assert s_exponent(p, n, s) == prime_exponent(p, n) // s
-
-
-# ---------------------------------------------------------------- Möbius transforms
-
-
-def test_mobius_transform_examples():
-    ones = {k: 1 for k in range(1, 11)}
-    assert mobius_transform(ones, 1) == 1
-    assert mobius_transform(ones, 6) == 0  # μ*1 is the indicator of 1
-    identity = {k: k for k in range(1, 11)}
-    assert mobius_transform(identity, 4) == 2  # 4 - 2 + 0
-
-
-def test_inverse_mobius_transform_examples():
-    point = {k: (1 if k == 1 else 0) for k in range(1, 10)}
-    assert inverse_mobius_transform(point, 9) == 1
-    identity = {k: k for k in range(1, 7)}
-    assert inverse_mobius_transform(identity, 6) == 12
-
-
-def test_transform_round_trip():
-    bound = 200
-    squares = {k: k * k for k in range(1, bound + 1)}
-    forward = {k: mobius_transform(squares, k) for k in range(1, bound + 1)}
-    for k in range(1, bound + 1):
-        assert inverse_mobius_transform(forward, k) == squares[k]
-    backward = {k: inverse_mobius_transform(squares, k) for k in range(1, bound + 1)}
-    for k in range(1, bound + 1):
-        assert mobius_transform(backward, k) == squares[k]
-
-
-def test_transform_rejects_small_table():
-    table = {k: 1 for k in range(1, 5)}
-    with pytest.raises(ValueError):
-        mobius_transform(table, 6)
-    with pytest.raises(ValueError):
-        inverse_mobius_transform(table, 6)
