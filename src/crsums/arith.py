@@ -23,8 +23,8 @@ def _require_positive(**values: int) -> None:
 def factorize(n: int, /) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n as (prime, exponent) pairs, primes increasing.
 
-    factorize(1) == ().  Deterministic trial division with a 2,3-wheel;
-    intended for operands up to ~10**9, which covers every sweep here.
+    factorize(1) == ().  Trial division with a 2,3-wheel, for operands up to
+    ~10**9: the library passes bases and gcds of them, never a power like k**s.
     """
     # The one check of n for divisors, mobius, omega, radical and f_from_spec.
     # n is positional-only, so every cache key is an exact int that passed it
@@ -101,25 +101,19 @@ def generalized_gcd(a: int, b: int, s: int) -> int:
     """(a,b)_s: the largest s-th power d**s dividing both a and b.
 
     Returns the magnitude d**s itself, not d; (a,b)_1 is the ordinary gcd.
-    Computed from prime exponents of gcd(a,b): the exponent of p in the
-    result is s·min(e_p(a), e_p(b)) rounded down to a multiple of s.
+    Every common s-th power divides g = gcd(a, b), so d is the largest
+    divisor of g whose s-th power divides g: s_adapted_gcd(g, g, s).
     """
     _require_positive(a=a, b=b, s=s)
     g = gcd(a, b)
-    if s == 1:
-        return g
-    out = 1
-    for p, e in factorize(g):
-        out *= p ** (s * (e // s))
-    return out
+    return s_adapted_gcd(g, g, s) ** s
 
 
 def s_adapted_gcd(a: int, b: int, s: int) -> int:
     """Largest divisor d of a such that d**s divides b.
 
-    For s = 1 this is gcd(a, b).  Its s-th power equals (a**s, b)_s, and it
-    is the divisor at which the Hölder-type closed forms in this package
-    evaluate their Jordan-totient quotients.
+    For s = 1 this is gcd(a, b).  Its s-th power equals (a**s, b)_s; it is
+    the one s-th-power gcd walk, behind generalized_gcd and every closed form.
     """
     _require_positive(a=a, b=b, s=s)
     if s == 1:

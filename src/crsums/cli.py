@@ -7,11 +7,12 @@ one table, ``SCALARS``, served by one handler.  ``sweep`` writes each CSV
 row as its check runs and keeps only the counts and the failures.  ``main``
 fully builds only the subcommand its argv names; the others stay bare entries.
 
-Exit codes are stable: 0 success, 2 usage/parse/precondition failure,
-3 cross-method disagreement or integrality failure, 4 sweep with failures.
-Rationals serialize as "num/den" strings in lowest terms (bare "num" when
-the denominator is 1); integers that can exceed 2**53 are emitted as
-decimal strings so JSON consumers never see a lossy float.
+Exit codes are stable: 0 success, 2 usage/parse/precondition failure or a
+path that cannot be read or written, 3 cross-method disagreement or
+integrality failure, 4 sweep with failures.  Rationals serialize as
+"num/den" strings in lowest terms (bare "num" when the denominator is 1);
+integers that can exceed 2**53 are emitted as decimal strings so JSON
+consumers never see a lossy float.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
-from .arith import generalized_gcd, jordan_totient, mobius, omega
+from .arith import generalized_gcd, jordan_totient, mobius
 from .crsum import (
     CHECKED_DIRECT_GUARD,
     DIRECT_GUARD,
@@ -127,8 +128,8 @@ def _check_equality_case(k: int, n: int, s: int) -> tuple[bool, str, str]:
     # Off-claim cells pass vacuously but still report whether equality happened,
     # so unexpected equality (n not an s-th power of the cell base) stays visible.
     h = _cell_abs_sum(k, n**s, s)
-    bound = n**s * 2 ** omega(k)
-    if equality_case_holds(n, k, s):
+    bound = delange_bound(k, n**s)
+    if equality_case_holds(n, k):
         return h == bound, str(bound), str(h)
     return True, "(no claim)", "equality" if h == bound else "strict"
 
@@ -320,11 +321,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.spec_file).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"cannot read {args.spec_file}: {exc}") from None
-    spec = MobiusSpec.from_text(text)
+    spec = MobiusSpec.from_text(Path(args.spec_file).read_text(encoding="utf-8"))
     report = partial_expansion(spec, args.n, args.s, args.q_max)
     _emit_json({
         "label": spec.label,
@@ -427,9 +424,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CrossCheckError, DirectRoundingError, ValueError) as exc:
+    except (CrossCheckError, DirectRoundingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ValueError) else 3
+        return 3 if isinstance(exc, (CrossCheckError, DirectRoundingError)) else 2
 
 
 def entrypoint() -> None:

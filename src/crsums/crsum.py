@@ -159,17 +159,19 @@ def _multiplicative_value(q: int, n: int, s: int) -> int:
     return total
 
 
-def _hoelder_value(q: int, n: int, s: int) -> int:
-    d = s_adapted_gcd(q, n, s)
+def _jordan_quotient(q: int, d: int, s: int) -> int:
+    """μ(m)·J_s(q)/J_s(m) at m = q/d, for a divisor d of q."""
     m = q // d
-    mu = mobius(m)
-    if mu == 0:
+    if (mu := mobius(m)) == 0:
         return 0
-    jq = jordan_totient(s, q)
-    jm = jordan_totient(s, m)
-    if jq % jm:
+    quotient, rest = divmod(jordan_totient(s, q), jordan_totient(s, m))
+    if rest:
         raise ArithmeticError(f"J_s(m) must divide J_s(q) for m | q; q={q}, m={m}")
-    return mu * (jq // jm)
+    return mu * quotient
+
+
+def _hoelder_value(q: int, n: int, s: int) -> int:
+    return _jordan_quotient(q, s_adapted_gcd(q, n, s), s)
 
 
 def crs_direct(query: CrsQuery, max_terms: int = DIRECT_GUARD) -> CrsValue:
@@ -208,8 +210,8 @@ def crs_hoelder(query: CrsQuery) -> CrsValue:
         c_q^(s)(n) = J_s(q) · μ(m) / J_s(m),   m = q/d,
 
     where d is the largest divisor of q whose s-th power divides n (so
-    d**s = (q**s, n)_s), and J_s is the Jordan totient.  At s = 1 this is
-    the classical identity c_q(n) = φ(q)·μ(q/(q,n))/φ(q/(q,n)).
+    d**s = (q**s, n)_s).  At s = 1 this is c_q(n) = φ(q)·μ(q/(q,n))/φ(q/(q,n)).
+    J_s is the Jordan totient; ``s_kn_closed_form`` shares ``_jordan_quotient``.
 
     A tempting variant evaluates the totients at n instead, with
     m = n/(q,n); that form fails even at s = 1 (for q=2, n=4 it yields -2

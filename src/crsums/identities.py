@@ -19,14 +19,12 @@ from math import gcd
 from .arith import (
     _require_positive,
     divisors,
-    generalized_gcd,
-    jordan_totient,
     mobius,
     omega,
     radical,
     s_adapted_gcd,
 )
-from .crsum import _multiplicative_value
+from .crsum import _jordan_quotient, _multiplicative_value
 
 
 def divisor_abs_sum(k: int, n: int, s: int) -> int:
@@ -42,21 +40,23 @@ def delange_bound(k: int, n: int) -> int:
 
 
 def grytczuk_value(k: int, n: int, s: int) -> int:
-    """Exact closed form 2**ω(k**s/(k**s,n)_s) · (k**s,n)_s of divisor_abs_sum."""
+    """Exact closed form 2**ω(k**s/(k**s,n)_s) · (k**s,n)_s of divisor_abs_sum.
+
+    It is 2**ω(k/d) · d**s at d = s_adapted_gcd(k, n, s); no k**s is built.
+    """
     _require_positive(k=k, n=n, s=s)
-    ks = k**s
-    g = generalized_gcd(ks, n, s)
-    return 2 ** omega(ks // g) * g
+    d = s_adapted_gcd(k, n, s)
+    return 2 ** omega(k // d) * d**s
 
 
-def equality_case_holds(m: int, k: int, s: int) -> bool:
+def equality_case_holds(m: int, k: int) -> bool:
     """True when k is a multiple of m·rad(m).
 
-    In that case divisor_abs_sum(k, m**s, s) meets the bound m**s·2**ω(k)
-    exactly, so the bound is best possible.  The condition is sufficient;
-    sweeps report (without asserting on) any equality cells outside it.
+    Then, for every s, divisor_abs_sum(k, m**s, s) meets the bound
+    m**s·2**ω(k) exactly, so the bound is best possible.  The condition is
+    sufficient; sweeps report (without asserting on) equality cells outside it.
     """
-    _require_positive(m=m, k=k, s=s)
+    _require_positive(m=m, k=k)
     return k % (m * radical(m)) == 0
 
 
@@ -85,15 +85,9 @@ def s_kn_closed_form(k: int, n: int, s: int, *, plain_gcd: bool = False) -> int:
     with ``plain_gcd=True`` the ordinary gcd is used instead, which agrees
     at s = 1 but breaks for s > 1 (e.g. k=2, n=2, s=2 yields 3 while
     |c_2^(2)(2)| = 1).  The flag exists so sweeps can report the
-    discrepancy; it is never used for assertions.
+    discrepancy; it is never used for assertions.  Either d feeds
+    ``crsum._jordan_quotient``, the quotient that crs_hoelder evaluates too.
     """
     _require_positive(k=k, n=n, s=s)
     d = gcd(k, n) if plain_gcd else s_adapted_gcd(k, n, s)
-    m = k // d
-    if mobius(m) == 0:
-        return 0
-    jk = jordan_totient(s, k)
-    jm = jordan_totient(s, m)
-    if jk % jm:
-        raise ArithmeticError(f"J_s(m) must divide J_s(k) for m | k; k={k}, m={m}")
-    return jk // jm
+    return abs(_jordan_quotient(k, d, s))

@@ -136,7 +136,7 @@ def test_4_bound_equality_cells():
             for k in (base, 2 * base):
                 if k > 200:
                     continue
-                assert equality_case_holds(m, k, s)
+                assert equality_case_holds(m, k)
                 cells += 1
                 h = divisor_abs_sum(k, m**s, s)
                 expected = m**s * 2 ** omega(k)

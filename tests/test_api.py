@@ -67,7 +67,7 @@ CASES = [
     (divisor_abs_sum, (6, 4, 2), ("k", "n", "s")),
     (delange_bound, (6, 4), ("k", "n")),
     (grytczuk_value, (6, 4, 2), ("k", "n", "s")),
-    (equality_case_holds, (2, 4, 2), ("m", "k", "s")),
+    (equality_case_holds, (2, 4), ("m", "k")),
     (orthogonality_sum, (6, 4, 2), ("k", "n", "s")),
     (s_kn_mobius, (6, 4, 2), ("k", "n", "s")),
     (s_kn_closed_form, (6, 4, 2), ("k", "n", "s")),

@@ -94,6 +94,12 @@ POINT_CASES = [
      '{"k":1000003,"n":1000009000027000027,"s":3,"value":"1000009000027000027","delange_bound":"2000018000054000054","grytczuk_value":"1000009000027000027"}\n'),
     ('grytczuk 1000003 1000009000027000027 --s 3 --json', 0,
      '{"k":1000003,"n":1000009000027000027,"s":3,"value":"1000009000027000027","divisor_abs_sum":"1000009000027000027"}\n'),
+    # k = 10**9+7 is prime: trial division of k**s would run up to k
+    ('grytczuk 1000000007 5 --s 2', 0, '2\n'),
+    ('hsum 1000000007 5 --s 2 --json', 0,
+     '{"k":1000000007,"n":5,"s":2,"value":2,"delange_bound":10,"grytczuk_value":2}\n'),
+    ('skn 1000000007 5 --s 2 --json', 0,
+     '{"k":1000000007,"n":5,"s":2,"value":1,"closed_form":1,"closed_form_plain_gcd":1,"abs_crs":1}\n'),
 ]
 
 
@@ -255,6 +261,19 @@ def test_bad_operand_exits_2(capsys, tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.spec").write_text("K=2\n1=one\n", encoding="utf-8")
     assert run(capsys, command) == (2, "")
+
+
+@pytest.mark.parametrize("command, path", [
+    ("mobius 5 --out {}", "missing/x"),
+    ("sweep --k-max 2 --n-max 2 --s 1 --out {}", "missing/x"),
+    ("expand {} 3", "."),  # a directory, not a spec file
+])
+def test_unusable_path_exits_2(capsys, tmp_path, command, path):
+    path = str(tmp_path / path)
+    code = cli.main(command.format(path).split())
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and path in captured.err
 
 
 def test_direct_guard_exits_2(capsys, monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+from crsums import arith
 from crsums.crsum import CrsQuery, crs_multiplicative
 from crsums.identities import (
     delange_bound,
@@ -71,6 +72,25 @@ def test_bound_and_closed_form_on_grid():
                 assert h <= delange_bound(k, n)
 
 
+def test_grytczuk_factorizes_no_operand_larger_than_k(monkeypatch):
+    # (k**s, n)_s = d**s for a divisor d of k, so only k and its divisors
+    # need factorizing; k**s and k**s/(k**s, n)_s never reach factorize.
+    seen = []
+    factorize = arith.factorize
+
+    def recording_factorize(n):
+        seen.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(arith, "factorize", recording_factorize)
+    for s in (1, 2, 3):
+        for k in range(1, 40):
+            for n in range(1, 40):
+                seen.clear()
+                grytczuk_value(k, n, s)
+                assert max(seen, default=1) <= k, (k, n, s, seen)
+
+
 def test_grytczuk_multiplicative_in_k():
     coprime_pairs = [
         (k1, k2)
@@ -120,12 +140,12 @@ def test_s_kn_plain_gcd_reading_differs_for_higher_s():
 
 
 def test_equality_case_examples():
-    assert equality_case_holds(2, 4, 2)
+    assert equality_case_holds(2, 4)
     assert divisor_abs_sum(4, 4, 2) == 4 * 2 ** omega(4) == 1 + 3 + 4
-    assert not equality_case_holds(2, 2, 1)
+    assert not equality_case_holds(2, 2)
     assert divisor_abs_sum(2, 2, 1) < delange_bound(2, 2)
     for k in (1, 17, 60):
-        assert equality_case_holds(1, k, 2)
+        assert equality_case_holds(1, k)
         assert divisor_abs_sum(k, 1, 2) == 2 ** omega(k)
 
 
@@ -136,7 +156,7 @@ def test_equality_on_multiples_of_m_rad_m():
             for k in (base, 2 * base, 3 * base):
                 if k > 200:
                     continue
-                assert equality_case_holds(m, k, s)
+                assert equality_case_holds(m, k)
                 assert divisor_abs_sum(k, m**s, s) == m**s * 2 ** omega(k)
 
 
