@@ -8,8 +8,16 @@ leak out of this module.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
+from itertools import count
 from math import gcd
+
+_TRIAL_LIMIT = 1000
+# Miller-Rabin to these 13 bases is exact below ψ13 (Sorenson-Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI13 = 3_317_044_064_679_887_385_961_981
+_RHO_BUDGET = 1 << 20  # Pollard-Brent steps allowed on one piece above ψ13
 
 
 def _require_positive(**values: int) -> None:
@@ -23,8 +31,10 @@ def _require_positive(**values: int) -> None:
 def factorize(n: int, /) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n as (prime, exponent) pairs, primes increasing.
 
-    factorize(1) == ().  Trial division with a 2,3-wheel, for operands up to
-    ~10**9: the library passes bases and gcds of them, never a power like k**s.
+    factorize(1) == ().  A 2,3-wheel trial-divides by p <= 1000; Pollard-Brent
+    splits the rest into pieces, prime below p**2, or below ψ13 ≈ 3.3·10**24 if
+    they pass Miller-Rabin to the first 13 prime bases.  Raises ValueError on a
+    piece at or above ψ13 that passes, or that a fixed step budget cannot split.
     """
     # The one check of n for divisors, mobius, omega, radical and f_from_spec.
     # n is positional-only, so every cache key is an exact int that passed it
@@ -40,7 +50,7 @@ def factorize(n: int, /) -> tuple[tuple[int, int], ...]:
                 e += 1
             pairs.append((p, e))
     p = 5
-    while p * p <= m:
+    while p * p <= m and p <= _TRIAL_LIMIT:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -48,9 +58,69 @@ def factorize(n: int, /) -> tuple[tuple[int, int], ...]:
                 e += 1
             pairs.append((p, e))
         p += 2 if p % 6 == 5 else 4
-    if m > 1:
+    if m >= p * p:  # m has no factor below p: split it into prime pieces
+        primes, rest = [], [m]
+        while rest:
+            x = rest.pop()
+            if x >= p * p and not _miller_rabin(x) and (d := _brent(x)) < x:
+                rest += (d, x // d)
+            elif x < _PSI13:
+                primes.append(x)
+            else:  # x passed Miller-Rabin, or Pollard-Brent gave up on it
+                raise ValueError(f"cannot factor {n}: its factor {x} is at least ψ13 "
+                                 "and is neither split nor certified prime")
+        pairs += sorted(Counter(primes).items())
+    elif m > 1:
         pairs.append((m, 1))
     return tuple(pairs)
+
+
+def _miller_rabin(x: int) -> bool:
+    """True if odd x > 41 is a strong probable prime to every base of _MR_BASES."""
+    twos = ((x - 1) & (1 - x)).bit_length() - 1
+    for a in _MR_BASES:
+        y = pow(a, (x - 1) >> twos, x)
+        if y == 1:
+            continue
+        for _ in range(twos):
+            if y == x - 1:
+                break
+            y = y * y % x
+        else:
+            return False
+    return True
+
+
+def _brent(x: int) -> int:
+    """A proper divisor of the composite x (Brent 1980), trying c = 1, 2, ...
+
+    Above ψ13 it returns x itself after _RHO_BUDGET steps in all.
+    """
+    steps = 0
+    for c in count(1):
+        y, r, g, prod = 2, 1, 1, 1
+        while g == 1:
+            steps += 2 * r
+            if x >= _PSI13 and steps > _RHO_BUDGET:
+                return x
+            base = y
+            for _ in range(r):
+                y = (y * y + c) % x
+            for k in range(0, r, 128):  # one gcd per 128 steps
+                saved = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % x
+                    prod = prod * (base - y) % x
+                if (g := gcd(prod, x)) > 1:
+                    break
+            r *= 2
+        if g == x:  # the block overshot: redo it one gcd per step
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % x
+                g = gcd(base - saved, x)
+        if g != x:
+            return g
 
 
 @lru_cache(maxsize=1 << 14)

@@ -7,12 +7,12 @@ one table, ``SCALARS``, served by one handler.  ``sweep`` writes each CSV
 row as its check runs and keeps only the counts and the failures.  ``main``
 fully builds only the subcommand its argv names; the others stay bare entries.
 
-Exit codes are stable: 0 success, 2 usage/parse/precondition failure or a
-path that cannot be read or written, 3 cross-method disagreement or
-integrality failure, 4 sweep with failures.  Rationals serialize as
-"num/den" strings in lowest terms (bare "num" when the denominator is 1);
-integers that can exceed 2**53 are emitted as decimal strings so JSON
-consumers never see a lossy float.
+Exit codes are stable: 0 success, 2 usage/parse/precondition failure, an
+operand that cannot be factored with certainty or a path that cannot be read or
+written, 3 cross-method disagreement or integrality failure, 4 sweep with
+failures.  Rationals serialize as "num/den" strings in lowest terms (bare "num"
+when the denominator is 1); integers that can exceed 2**53 are emitted as
+decimal strings so JSON consumers never see a lossy float.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import io
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -303,17 +304,20 @@ def _cmd_scalar(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = SweepGrid((args.k_min, args.k_max), (args.n_min, args.n_max),
                      tuple(args.s), tuple(args.checks))
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["k", "n", "s", "check", "expected", "actual", "pass"])
-        result = run_sweep(grid, lambda *row: writer.writerow(
-            [*row[:6], "true" if row[6] else "false"]))
-        report = buf.getvalue().rstrip("\n")
-    else:
-        result = run_sweep(grid)
-        report = _sweep_json(result)
-    _emit(report, args.out)
+    # --out is opened before any cell runs, and written once the grid is done.
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else nullcontext(sys.stdout)) as sink:
+        if args.format == "csv":
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["k", "n", "s", "check", "expected", "actual", "pass"])
+            result = run_sweep(grid, lambda *row: writer.writerow(
+                [*row[:6], "true" if row[6] else "false"]))
+            report = buf.getvalue().rstrip("\n")
+        else:
+            result = run_sweep(grid)
+            report = _sweep_json(result)
+        print(report, file=sink)
     if args.out:
         print(f"{result.cells_passed}/{result.cells_total} checks passed; "
               f"{len(result.failures)} failures; report written to {args.out}")

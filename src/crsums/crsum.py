@@ -22,6 +22,7 @@ another:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -82,13 +83,13 @@ class _RootsOnIndex:
     modulus: int
 
     def __getitem__(self, t: int) -> complex:
-        angle = math.tau * t / self.modulus
-        return complex(math.cos(angle), math.sin(angle))
+        return cmath.rect(1.0, math.tau * t / self.modulus)
 
 
 @lru_cache(maxsize=64)
 def _root_table(modulus: int) -> tuple[complex, ...]:
-    return tuple(map(_RootsOnIndex(modulus).__getitem__, range(modulus)))
+    """Every e(t/modulus), equal bit for bit to _RootsOnIndex(modulus)[t]."""
+    return tuple([cmath.rect(1.0, math.tau * t / modulus) for t in range(modulus)])
 
 
 def _admissible(q: int, s: int) -> Iterable[int]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -72,6 +73,105 @@ def test_factorize_reconstructs_product_and_is_sorted():
         assert product == n
         assert list(pairs) == sorted(pairs)
         assert all(trial_division_smallest_factor(p) == p for p, _ in pairs)
+
+
+# ------------------------------------------ factorize past trial division
+
+# strong pseudoprimes to the first 12 and 13 prime bases:
+# ψ12 = 318665857834031151167461 and ψ13 = 3317044064679887385961981
+PSI12 = 399165290221 * 798330580441
+PSI13 = 1287836182261 * 2575672364521
+
+
+def sieve(limit: int) -> list[int]:
+    flags = [True] * limit
+    flags[:2] = [False, False]
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if flags[p]:
+            flags[p * p::p] = [False] * len(range(p * p, limit, p))
+    return [p for p, prime in enumerate(flags) if prime]
+
+
+KNOWN_PRIMES = sieve(3000) + [999999937, 10**9 + 7, 10**9 + 9, 10**12 + 39]
+
+
+def from_pairs(pairs) -> int:
+    return math.prod(p**e for p, e in pairs)
+
+
+def test_factorize_products_of_known_primes():
+    rng = random.Random(10)
+    tested = 0
+    while tested < 200:
+        chosen = rng.sample(KNOWN_PRIMES, rng.randint(0, 3))
+        chosen += rng.sample(KNOWN_PRIMES[-60:], rng.randint(1, 2))
+        pairs = tuple(sorted((p, rng.randint(1, 3)) for p in set(chosen)))
+        # what trial division leaves must stay below ψ13 to be certified
+        if from_pairs((p, e) for p, e in pairs if p > 1000) < PSI13:
+            assert factorize(from_pairs(pairs)) == pairs
+            tested += 1
+
+
+@pytest.mark.parametrize("n, pairs", [
+    (3215031751, ((151, 1), (751, 1), (28351, 1))),  # spsp to bases 2, 3, 5, 7
+    (3825123056546413051, ((149491, 1), (747451, 1), (34233211, 1))),
+    (PSI12, ((399165290221, 1), (798330580441, 1))),
+    ((10**6 + 3) ** 2, ((1000003, 2),)),
+    (1000003**5, ((1000003, 5),)),
+    (1009**9, ((1009, 9),)),
+    (2**100, ((2, 100),)),
+    ((10**12 + 39) * (10**12 + 61), ((10**12 + 39, 1), (10**12 + 61, 1))),
+], ids=str)
+def test_factorize_splits_hard_composites(n, pairs):
+    assert from_pairs(pairs) == n
+    assert factorize(n) == pairs
+
+
+@pytest.mark.parametrize("n", [PSI13, 10**30 + 57, (10**15 + 37) * (10**15 + 91)])
+def test_factorize_refuses_what_it_cannot_certify(n):
+    # ψ13 passes all 13 bases although composite; 10**30 + 57 is prime but
+    # past ψ13, so neither is returned as ((n, 1),); the last is past ψ13 and
+    # its two prime factors are too large for the step budget
+    with pytest.raises(ValueError, match=f"cannot factor {n}:"):
+        factorize(n)
+
+
+def test_factorize_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(24)
+    for _ in range(300):
+        n = rng.randrange(1, 10 ** rng.randint(1, 24))
+        assert dict(factorize(n)) == sympy.factorint(n)
+
+
+def test_multiplicative_functions_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(18)
+    for _ in range(100):
+        n = rng.randrange(1, 10 ** rng.randint(1, 18))
+        assert mobius(n) == sympy.mobius(n)
+        assert omega(n) == sympy.primenu(n)
+        assert jordan_totient(1, n) == sympy.totient(n)
+
+
+def test_factorize_property_up_to_10_18():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(1, 10**18))
+    def check(n):
+        pairs = factorize(n)
+        assert from_pairs(pairs) == n
+        assert [p for p, _ in pairs] == sorted({p for p, _ in pairs})
+        for p, e in pairs:
+            assert e >= 1 and p > 1
+            # p has no factor below 1000 other than itself, and is a Fermat
+            # probable prime to base 2
+            assert all(p % d for d in range(2, min(p, 1000)))
+            assert pow(2, p - 1, p) == 1 or p == 2
+
+    check()
 
 
 # ---------------------------------------------------------------- divisors

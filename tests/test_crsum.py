@@ -19,6 +19,8 @@ from crsums.crsum import (
     crs_mobius,
     crs_multiplicative,
     cross_check,
+    _root_table,
+    _RootsOnIndex,
 )
 
 
@@ -218,3 +220,18 @@ def test_direct_rounding_error_is_raised_not_rounded(monkeypatch):
         crs_direct(CrsQuery(3, 1, 1))
     with pytest.raises(DirectRoundingError):
         crs_direct(CrsQuery(101, 1, 2))  # 10201 terms
+
+
+def test_root_table_equals_roots_on_index():
+    # both root sources compute cmath.rect(1.0, tau * t / m), so cached and
+    # streamed direct sums add the same floats
+    for m in [*range(1, 3001), 10**4]:
+        assert _root_table(m) == tuple(map(_RootsOnIndex(m).__getitem__, range(m)))
+    _root_table.cache_clear()
+
+
+def test_roots_match_cos_and_sin():
+    for m in (1, 2, 7, 360, 9973):
+        for t in range(m):
+            angle = math.tau * t / m
+            assert _RootsOnIndex(m)[t] == complex(math.cos(angle), math.sin(angle))

@@ -100,6 +100,10 @@ POINT_CASES = [
      '{"k":1000000007,"n":5,"s":2,"value":2,"delange_bound":10,"grytczuk_value":2}\n'),
     ('skn 1000000007 5 --s 2 --json', 0,
      '{"k":1000000007,"n":5,"s":2,"value":1,"closed_form":1,"closed_form_plain_gcd":1,"abs_crs":1}\n'),
+    # 10**18+3 is prime: Miller-Rabin certifies it where trial division would not finish
+    ('mobius 1000000000000000003', 0, '-1\n'),
+    ('jordan 1000000000000000003 --json', 0,
+     '{"n":1000000000000000003,"s":1,"value":"1000000000000000002"}\n'),
 ]
 
 
@@ -274,6 +278,23 @@ def test_unusable_path_exits_2(capsys, tmp_path, command, path):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("error: ") and path in captured.err
+
+
+def test_sweep_opens_out_before_the_grid_runs(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_sweep", lambda *args: pytest.fail("the grid ran"))
+    path = str(tmp_path / "missing" / "x")
+    code = cli.main(f"sweep --out {path}".split())
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and path in captured.err
+
+
+def test_uncertified_operand_exits_2(capsys):
+    # 10**30+57 is prime, but past the range where Miller-Rabin is exact
+    code = cli.main(["mobius", "1000000000000000000000000000057"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: cannot factor 1000000000000000000000000000057")
 
 
 def test_direct_guard_exits_2(capsys, monkeypatch):
