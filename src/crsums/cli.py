@@ -3,8 +3,8 @@
 ``crsum --checked`` means the same for every ``--method``: the chosen
 evaluator's value must agree with every value of ``crsum.cross_check``.  The
 scalar subcommands (jordan, ggcd, mobius, hsum, grytczuk, skn) are rows of
-one table, ``SCALARS``, served by one handler.  ``sweep`` writes each CSV
-row as its check runs and keeps only the counts and the failures.  ``main``
+one table, ``SCALARS``, served by one handler.  ``sweep`` buffers its CSV
+rows in memory and writes the report once the whole grid has run.  ``main``
 fully builds only the subcommand its argv names; the others stay bare entries.
 
 Exit codes are stable: 0 success, 2 usage/parse/precondition failure, an

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Mapping
 
 from .arith import _require_positive, divisors, omega
@@ -209,14 +210,19 @@ def rearrangement_check(spec: MobiusSpec, n: int, s: int) -> bool:
     The double sum Σ_q Σ_m |f'(mq)|/(mq)**s · |c_q^(s)(n**s)| is computed by
     literal enumeration of the pairs (q, k = m·q) over the support, then
     regrouped along k through the divisor absolute sum, then once more
-    through its closed form; all three are integers over the common
-    denominator of ``Expansion``.  True iff the three coincide, every k in
-    1..K satisfies the chain
+    through its closed form ``grytczuk_value``; all three are integers over
+    the common denominator of ``Expansion``.  True iff the three coincide,
+    every k in 1..K satisfies the chain
 
         2**ω(k**s/(k**s, n**s)_s) · (k**s, n**s)_s >= 2**ω(k),
 
     and consequently Σ_k |f'(k)|/k**s·2**ω(k) is bounded by the grouped sum.
     A False return means an identity was violated, i.e. a bug.
+
+    The chain is read from one ω sieve over 1..K and factorizes nothing:
+    the largest d | k with d**s | n**s is g = gcd(k, n), as d**s | n**s iff
+    d | n, so (k**s, n**s)_s = g**s.  At each support entry the sieve's
+    term must also equal ``grytczuk_value``.
     """
     _require_positive(n=n, s=s)
     ns = n**s
@@ -230,15 +236,28 @@ def rearrangement_check(spec: MobiusSpec, n: int, s: int) -> bool:
             double_sum += cq * sum(w for k, w in weights.items() if k % q == 0)
 
     grouped = sum(w * divisor_abs_sum(k, ns, s) for k, w in weights.items())
-    closed = omega_sum = 0
+    omegas = _omega_sieve(spec.support_bound)
     for k in range(1, spec.support_bound + 1):
-        closed_term = grytczuk_value(k, ns, s)
-        lower = 2 ** omega(k)
-        if closed_term < lower:  # termwise lower bound must hold
+        g = gcd(k, n)
+        if (g**s << omegas[k // g]) < (1 << omegas[k]):  # termwise lower bound
             return False
-        w = weights.get(k)
-        if w:
-            closed += w * closed_term
-            omega_sum += w * lower
+    closed = omega_sum = 0
+    for k, w in weights.items():
+        closed_term = grytczuk_value(k, ns, s)
+        g = gcd(k, n)
+        if closed_term != g**s << omegas[k // g]:  # the two routes disagree
+            return False
+        closed += w * closed_term
+        omega_sum += w << omegas[k]
 
     return double_sum == grouped == closed and omega_sum <= closed
+
+
+@lru_cache(maxsize=1)
+def _omega_sieve(bound: int) -> bytes:
+    """ω(k) at index k for k in 1..bound, one byte each (ω(k) <= 15 below 6·10**17)."""
+    table, increment = bytearray(bound + 1), bytes(range(1, 256)) + b"\0"
+    for p in range(2, bound + 1):
+        if not table[p]:  # no smaller prime divides p
+            table[p::p] = table[p::p].translate(increment)
+    return bytes(table)

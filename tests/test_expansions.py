@@ -5,12 +5,12 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 from crsums import expansions
-from crsums.arith import divisors, mobius, omega
+from crsums.arith import divisors, mobius, omega, s_adapted_gcd
 from crsums.crsum import CrsQuery, crs_mobius
 from crsums.expansions import (
     Expansion,
@@ -21,6 +21,7 @@ from crsums.expansions import (
     partial_expansion,
     rearrangement_check,
 )
+from crsums.identities import grytczuk_value
 
 
 def random_specs(count: int, seed: int, max_bound: int = 40) -> list[MobiusSpec]:
@@ -33,11 +34,11 @@ def random_specs(count: int, seed: int, max_bound: int = 40) -> list[MobiusSpec]
     return specs
 
 
-def sparse_specs(count: int, seed: int) -> list[MobiusSpec]:
+def sparse_specs(count: int, seed: int, max_bound: int = 1000) -> list[MobiusSpec]:
     rng = random.Random(seed)
     specs = []
     for i in range(count):
-        bound = rng.randint(1, 1000)
+        bound = rng.randint(1, max_bound)
         keys = rng.sample(range(1, bound + 1), min(bound, rng.randint(0, 8)))
         values = {k: rng.choice([-7, -2, -1, 1, 3, 9]) for k in keys}
         specs.append(MobiusSpec(bound, values, label=f"sparse-{i}"))
@@ -254,11 +255,65 @@ def test_rearrangement_detects_a_wrong_route(monkeypatch, name):
 
 def test_rearrangement_checks_the_lower_bound_off_the_support(monkeypatch):
     spec = MobiusSpec(12, {2: 3})
+    assert rearrangement_check(spec, 22, 2)
+    original = expansions._omega_sieve
+    # ω(11) read as 7: at g = gcd(11, 22) = 11 the chain's term 11**2 falls
+    # below 2**7, at k = 11, which is off the support.
+    monkeypatch.setattr(expansions, "_omega_sieve",
+                        lambda bound: original(bound)[:11] + b"\7" + original(bound)[12:])
+    assert not rearrangement_check(spec, 22, 2)
+
+
+def test_rearrangement_checks_grytczuk_against_the_sieve(monkeypatch):
+    spec = MobiusSpec(12, {2: 3, 6: -1, 12: 2})
     assert rearrangement_check(spec, 4, 2)
-    original = expansions.grytczuk_value
-    monkeypatch.setattr(expansions, "grytczuk_value",
-                        lambda k, n, s: 0 if k == 11 else original(k, n, s))
+    # Shift all three routes alike at 12, which is in the support and divides
+    # no other entry: the three sums still agree, so only the sieve objects.
+    for name in ("divisor_abs_sum", "grytczuk_value"):
+        monkeypatch.setattr(expansions, name,
+                            lambda k, n, s, f=getattr(expansions, name): f(k, n, s) + (k == 12))
+    value = expansions._multiplicative_value
+
+    def shifted_value(q, n, s):  # |c_12| grows by one, as the other two did
+        c = value(q, n, s)
+        return c + (q == 12) * (-1 if c < 0 else 1)
+
+    monkeypatch.setattr(expansions, "_multiplicative_value", shifted_value)
     assert not rearrangement_check(spec, 4, 2)
+
+
+def test_omega_sieve_matches_omega():
+    table = expansions._omega_sieve(10**5)
+    assert len(table) == 10**5 + 1
+    assert all(table[k] == omega(k) for k in range(1, 10**5 + 1))
+
+
+def test_sieve_term_matches_grytczuk_value():
+    table = expansions._omega_sieve(2000)
+    for s in (1, 2, 3):
+        for n in range(1, 61):
+            ns = n**s
+            for k in range(1, 2001):
+                g = gcd(k, n)
+                assert g**s << table[k // g] == grytczuk_value(k, ns, s), (k, n, s)
+
+
+def test_s_adapted_gcd_of_an_sth_power_is_the_gcd():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(1, 10**12), st.integers(1, 10**12), st.integers(1, 4))
+    def check(k, n, s):
+        assert s_adapted_gcd(k, n**s, s) == gcd(k, n)
+
+    check()
+
+
+def test_rearrangement_sparse_specs_up_to_10_5():
+    rng = random.Random(2024)
+    for spec in sparse_specs(6, seed=2024, max_bound=10**5):
+        assert rearrangement_check(spec, rng.randint(1, 200), rng.randint(1, 3)), spec
 
 
 # ---------------------------------------------------------------- round trip
