@@ -3,9 +3,11 @@
 ``crsum --checked`` means the same for every ``--method``: the chosen
 evaluator's value must agree with every value of ``crsum.cross_check``.  The
 scalar subcommands (jordan, ggcd, mobius, hsum, grytczuk, skn) are rows of
-one table, ``SCALARS``, served by one handler.  ``sweep`` buffers its CSV
-rows in memory and writes the report once the whole grid has run.  ``main``
-fully builds only the subcommand its argv names; the others stay bare entries.
+one table, ``SCALARS``, served by one handler.  ``main`` fully builds only
+the subcommand its argv names; the others stay bare entries.  It then opens the
+one sink, ``--out`` or stdout, before any computation, and every handler
+``(args, sink) -> int`` prints its output there: ``sweep --format csv`` writes
+each row as its check runs, so a sweep that aborts leaves the rows before it.
 
 Exit codes are stable: 0 success, 2 usage/parse/precondition failure, an
 operand that cannot be factored with certainty or a path that cannot be read or
@@ -19,15 +21,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from pathlib import Path
-from typing import Callable
+from typing import Callable, TextIO
 
 from .arith import generalized_gcd, jordan_totient, mobius
 from .crsum import (
@@ -62,24 +62,20 @@ def _json_int(value: int):
     return value if abs(value) <= _JSON_SAFE else str(value)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+def _dumps(obj) -> str:
+    """Compact JSON; int keys become strings and Fractions "num/den" strings.
+
+    The reports hold no cycles, and skipping the check per value is what
+    keeps a K-entry ``coefficients`` object as fast as a dict of strings.
+    """
+    return json.dumps(obj, separators=(",", ":"), default=str, check_circular=False)
 
 
-def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, separators=(",", ":")), out)
-
-
-def _emit_value(args: argparse.Namespace, operands: dict, value: int,
+def _emit_value(args: argparse.Namespace, sink: TextIO, operands: dict, value: int,
                 extras: Callable[[], dict]) -> None:
     """Print the bare value, or with --json the operands, value and extras."""
-    if args.json:
-        _emit_json({**operands, "value": _json_int(value), **extras()}, args.out)
-    else:
-        _emit(str(value), args.out)
+    print(_dumps({**operands, "value": _json_int(value), **extras()})
+          if args.json else value, file=sink)
 
 
 # ----------------------------------------------------------------------
@@ -205,19 +201,6 @@ def run_sweep(grid: SweepGrid,
     return result
 
 
-def _sweep_json(result: SweepResult) -> str:
-    obj = {
-        "grid": asdict(result.grid),
-        "cells_total": result.cells_total,
-        "cells_passed": result.cells_passed,
-        "failures": [
-            {"k": k, "n": n, "s": s, "check": c, "expected": e, "actual": a}
-            for k, n, s, c, e, a in result.failures
-        ],
-    }
-    return json.dumps(obj, separators=(",", ":"))
-
-
 # ----------------------------------------------------------------------
 # Subcommand handlers
 # ----------------------------------------------------------------------
@@ -230,7 +213,7 @@ def _direct_guard() -> int:
         raise ValueError(f"CRSUM_MAX_DIRECT={raw!r}: {exc}") from None
 
 
-def _cmd_crsum(args: argparse.Namespace) -> int:
+def _cmd_crsum(args: argparse.Namespace, sink: TextIO) -> int:
     query = CrsQuery(args.q, args.n, args.s)
     guard = _direct_guard()
     evaluate = {"auto": crs, "direct": lambda query: crs_direct(query, max_terms=guard),
@@ -242,7 +225,7 @@ def _cmd_crsum(args: argparse.Namespace) -> int:
                 result.method: result.value}
         if len(set(seen.values())) != 1:
             raise CrossCheckError(f"evaluators disagree on {query}: {seen}")
-    _emit_value(args, {"q": args.q, "n": args.n, "s": args.s}, result.value,
+    _emit_value(args, sink, {"q": args.q, "n": args.n, "s": args.s}, result.value,
                 lambda: {"method": result.method})
     return 0
 
@@ -293,52 +276,55 @@ SCALARS: dict[str, Scalar] = {
 }
 
 
-def _cmd_scalar(args: argparse.Namespace) -> int:
+def _cmd_scalar(args: argparse.Namespace, sink: TextIO) -> int:
     scalar = SCALARS[args.command]
     operands = {name: getattr(args, name) for name in scalar.operands}
-    _emit_value(args, operands, scalar.value(**operands),
+    _emit_value(args, sink, operands, scalar.value(**operands),
                 lambda: {k: _json_int(v) for k, v in scalar.extras(**operands).items()})
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace, sink: TextIO) -> int:
     grid = SweepGrid((args.k_min, args.k_max), (args.n_min, args.n_max),
                      tuple(args.s), tuple(args.checks))
-    # --out is opened before any cell runs, and written once the grid is done.
-    with (open(args.out, "w", encoding="utf-8") if args.out
-          else nullcontext(sys.stdout)) as sink:
-        if args.format == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(["k", "n", "s", "check", "expected", "actual", "pass"])
-            result = run_sweep(grid, lambda *row: writer.writerow(
-                [*row[:6], "true" if row[6] else "false"]))
-            report = buf.getvalue().rstrip("\n")
-        else:
-            result = run_sweep(grid)
-            report = _sweep_json(result)
-        print(report, file=sink)
+    if args.format == "csv":
+        writer = csv.writer(sink, lineterminator="\n")
+        writer.writerow(["k", "n", "s", "check", "expected", "actual", "pass"])
+        result = run_sweep(grid, lambda *row: writer.writerow(
+            [*row[:6], "true" if row[6] else "false"]))
+    else:
+        result = run_sweep(grid)
+        print(_dumps({
+            "grid": asdict(grid),
+            "cells_total": result.cells_total,
+            "cells_passed": result.cells_passed,
+            "failures": [
+                {"k": k, "n": n, "s": s, "check": c, "expected": e, "actual": a}
+                for k, n, s, c, e, a in result.failures
+            ],
+        }), file=sink)
     if args.out:
         print(f"{result.cells_passed}/{result.cells_total} checks passed; "
               f"{len(result.failures)} failures; report written to {args.out}")
     return 0 if not result.failures else 4
 
 
-def _cmd_expand(args: argparse.Namespace) -> int:
-    spec = MobiusSpec.from_text(Path(args.spec_file).read_text(encoding="utf-8"))
+def _cmd_expand(args: argparse.Namespace, sink: TextIO) -> int:
+    with open(args.spec_file, encoding="utf-8") as spec_file:
+        spec = MobiusSpec.from_text(spec_file.read())
     report = partial_expansion(spec, args.n, args.s, args.q_max)
-    _emit_json({
+    print(_dumps({
         "label": spec.label,
         "support_bound": spec.support_bound,
         "n": report.n,
         "s": report.s,
         "q_max": report.q_max,
-        "coefficients": {str(q): str(a) for q, a in report.coefficients.items()},
-        "partial_sum": str(report.partial_sum),
-        "target": str(report.target),
-        "residual": str(report.residual),
-        "condition_sum": str(report.condition_sum),
-    }, args.out)
+        "coefficients": report.coefficients,
+        "partial_sum": report.partial_sum,
+        "target": report.target,
+        "residual": report.residual,
+        "condition_sum": report.condition_sum,
+    }), file=sink)
     return 0
 
 
@@ -369,7 +355,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name: str, text: str, func: Callable[[argparse.Namespace], int],
+    def add(name: str, text: str, func: Callable[[argparse.Namespace, TextIO], int],
             s_option: bool = True) -> argparse.ArgumentParser | None:
         if command not in (None, name):
             sub.add_parser(name, help=text, add_help=False)
@@ -427,7 +413,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with (open(args.out, "w", encoding="utf-8") if args.out
+              else nullcontext(sys.stdout)) as sink:
+            return args.func(args, sink)
     except (CrossCheckError, DirectRoundingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, (CrossCheckError, DirectRoundingError)) else 2

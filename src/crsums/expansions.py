@@ -55,11 +55,6 @@ class MobiusSpec:
                 cleaned[k] = v
         object.__setattr__(self, "values", cleaned)
 
-    def fprime(self, k: int) -> int:
-        """f'(k); zero off the stored support."""
-        _require_positive(k=k)
-        return self.values.get(k, 0)
-
     @classmethod
     def from_text(cls, text: str) -> "MobiusSpec":
         """Parse the line-oriented interchange format.

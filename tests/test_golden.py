@@ -280,10 +280,18 @@ def test_unusable_path_exits_2(capsys, tmp_path, command, path):
     assert captured.err.startswith("error: ") and path in captured.err
 
 
-def test_sweep_opens_out_before_the_grid_runs(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "run_sweep", lambda *args: pytest.fail("the grid ran"))
+@pytest.mark.parametrize("command, computation", [
+    ("sweep --out {}", "run_sweep"),
+    ("expand f.spec 3 --out {}", "partial_expansion"),
+    ("crsum 4 2 --out {}", "crs"),
+], ids=["sweep", "expand", "crsum"])
+def test_sweep_opens_out_before_the_grid_runs(capsys, tmp_path, monkeypatch,
+                                              command, computation):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.spec").write_text(SPEC, encoding="utf-8")
+    monkeypatch.setattr(cli, computation, lambda *args: pytest.fail(f"{computation} ran"))
     path = str(tmp_path / "missing" / "x")
-    code = cli.main(f"sweep --out {path}".split())
+    code = cli.main(command.format(path).split())
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("error: ") and path in captured.err
@@ -347,6 +355,21 @@ def test_forced_sweep_failure_exits_4(capsys, tmp_path, monkeypatch):
         4, "4/6 checks passed; 2 failures; report written to f.csv\n"
     )
     assert (tmp_path / "f.csv").read_text(encoding="utf-8") == FAILED_SWEEP_CSV
+
+
+def test_aborted_csv_sweep_keeps_the_rows_before_the_failing_cell(capsys, tmp_path,
+                                                                   monkeypatch):
+    def check(k, n, s):
+        if k == 3:
+            raise cli.CrossCheckError("forced at k = 3")
+        return k != 2, "0", "forced"
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(cli.CHECKS, "orthogonality", check)
+    command = "sweep --k-max 3 --n-max 2 --s 1 --checks orthogonality --format csv --out f.csv"
+    assert run(capsys, command) == (3, "")
+    rows_before_k3 = "".join(FAILED_SWEEP_CSV.splitlines(keepends=True)[:5])
+    assert (tmp_path / "f.csv").read_text(encoding="utf-8") == rows_before_k3
 
 
 # ---------------------------------------------------------------- help and parse errors
