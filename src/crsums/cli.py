@@ -31,11 +31,10 @@ from typing import Callable, TextIO
 
 from .arith import generalized_gcd, jordan_totient, mobius
 from .crsum import (
-    CHECKED_DIRECT_GUARD,
-    DIRECT_GUARD,
     CrossCheckError,
     CrsQuery,
     DirectRoundingError,
+    _certified,
     crs,
     crs_direct,
     crs_hoelder,
@@ -83,7 +82,7 @@ def _emit_value(args: argparse.Namespace, sink: TextIO, operands: dict, value: i
 # ----------------------------------------------------------------------
 
 def _check_crs_agreement(k: int, n: int, s: int) -> tuple[bool, str, str]:
-    seen = cross_check(CrsQuery(k, n, s), CHECKED_DIRECT_GUARD)
+    seen = cross_check(CrsQuery(k, n, s))
     passed = len(set(seen.values())) == 1
     return passed, str(seen["mobius"]), ",".join(f"{m}={v}" for m, v in seen.items())
 
@@ -205,26 +204,16 @@ def run_sweep(grid: SweepGrid,
 # Subcommand handlers
 # ----------------------------------------------------------------------
 
-def _direct_guard() -> int:
-    raw = os.environ.get("CRSUM_MAX_DIRECT", str(DIRECT_GUARD))
-    try:
-        return _positive(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"CRSUM_MAX_DIRECT={raw!r}: {exc}") from None
+# --method name -> evaluator; the keys are the choices, in the order the help shows.
+_METHODS = {"auto": crs, "direct": crs_direct, "mobius": crs_mobius,
+            "multiplicative": crs_multiplicative, "hoelder": crs_hoelder}
 
 
 def _cmd_crsum(args: argparse.Namespace, sink: TextIO) -> int:
     query = CrsQuery(args.q, args.n, args.s)
-    guard = _direct_guard()
-    evaluate = {"auto": crs, "direct": lambda query: crs_direct(query, max_terms=guard),
-                "mobius": crs_mobius, "multiplicative": crs_multiplicative,
-                "hoelder": crs_hoelder}
-    result = evaluate[args.method](query)
+    result = _METHODS[args.method](query)
     if args.checked:
-        seen = {**cross_check(query, min(CHECKED_DIRECT_GUARD, guard)),
-                result.method: result.value}
-        if len(set(seen.values())) != 1:
-            raise CrossCheckError(f"evaluators disagree on {query}: {seen}")
+        _certified(query, result)
     _emit_value(args, sink, {"q": args.q, "n": args.n, "s": args.s}, result.value,
                 lambda: {"method": result.method})
     return 0
@@ -373,8 +362,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if p := add("crsum", "evaluate c_q^(s)(n)", _cmd_crsum):
         p.add_argument("q", type=_positive)
         p.add_argument("n", type=_positive)
-        p.add_argument("--method", default="auto",
-                       choices=("auto", "direct", "mobius", "multiplicative", "hoelder"))
+        p.add_argument("--method", default="auto", choices=_METHODS)
         p.add_argument("--checked", action="store_true",
                        help="cross-verify against independent evaluators (exit 3 on mismatch)")
 
@@ -413,6 +401,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        spec = getattr(args, "spec_file", None)
+        if spec and args.out and os.path.exists(args.out) and os.path.samefile(spec, args.out):
+            raise ValueError(f"--out {args.out} is the spec file and would be emptied")
         with (open(args.out, "w", encoding="utf-8") if args.out
               else nullcontext(sys.stdout)) as sink:
             return args.func(args, sink)

@@ -39,9 +39,9 @@ from .arith import (
 
 Method = Literal["direct", "mobius", "multiplicative", "hoelder"]
 
-#: Hard ceiling on q**s for the literal summation.
+#: Past this many terms (q**s) the literal summation is refused.
 DIRECT_GUARD = 10**6
-#: Below this size ``cross_check`` also runs the literal summation.
+#: At or below this many terms ``cross_check`` also runs the literal summation.
 CHECKED_DIRECT_GUARD = 10**4
 
 _INTEGRALITY_TOL = 1e-6
@@ -105,11 +105,11 @@ def _admissible_h(q: int, s: int) -> tuple[int, ...]:
     return tuple(_admissible(q, s))
 
 
-def _direct_value(q: int, n: int, s: int, max_terms: int) -> int:
+def _direct_value(q: int, n: int, s: int) -> int:
     qs = q**s
-    if qs > max_terms:
+    if qs > DIRECT_GUARD:
         raise ValueError(
-            f"direct evaluation requires q**s <= {max_terms}, got {qs}; "
+            f"direct evaluation requires q**s <= {DIRECT_GUARD}, got {qs}; "
             "use the mobius or multiplicative evaluator instead"
         )
     # Small moduli reuse cached tables; larger ones stream both sources so
@@ -175,15 +175,15 @@ def _hoelder_value(q: int, n: int, s: int) -> int:
     return _jordan_quotient(q, s_adapted_gcd(q, n, s), s)
 
 
-def crs_direct(query: CrsQuery, max_terms: int = DIRECT_GUARD) -> CrsValue:
-    """Evaluate by summing the roots of unity literally.
+def crs_direct(query: CrsQuery) -> CrsValue:
+    """Evaluate by summing the roots of unity literally, refused past 10**6 terms.
 
     The angle is reduced through an exact integer modulus before any trig is
     done, and the accumulation is compensated, so the result sits within
     1e-6 of an integer for every admissible size; if it does not, the
     evaluator raises instead of rounding silently.
     """
-    return CrsValue(_direct_value(query.q, query.n, query.s, max_terms), "direct")
+    return CrsValue(_direct_value(query.q, query.n, query.s), "direct")
 
 
 def crs_mobius(query: CrsQuery) -> CrsValue:
@@ -223,22 +223,30 @@ def crs_hoelder(query: CrsQuery) -> CrsValue:
     return CrsValue(_hoelder_value(query.q, query.n, query.s), "hoelder")
 
 
-def cross_check(query: CrsQuery,
-                direct_limit: int = CHECKED_DIRECT_GUARD) -> dict[str, int]:
+def cross_check(query: CrsQuery) -> dict[str, int]:
     """The query's value from each independent evaluator, keyed by method.
 
     Keys come in the order mobius, multiplicative, then direct, which joins
-    only when q**s <= direct_limit.  Callers decide what a disagreement
-    means; a direct sum that misses an integer raises DirectRoundingError.
+    only when q**s <= ``CHECKED_DIRECT_GUARD`` (10**4).  Callers decide what
+    a disagreement means; a direct sum that misses an integer raises
+    DirectRoundingError.
     """
     q, n, s = query.q, query.n, query.s
     seen = {
         "mobius": _mobius_value(q, n, s),
         "multiplicative": _multiplicative_value(q, n, s),
     }
-    if q**s <= direct_limit:
-        seen["direct"] = _direct_value(q, n, s, DIRECT_GUARD)
+    if q**s <= CHECKED_DIRECT_GUARD:
+        seen["direct"] = _direct_value(q, n, s)
     return seen
+
+
+def _certified(query: CrsQuery, result: CrsValue) -> CrsValue:
+    """``result``, once it agrees with every value of ``cross_check(query)``."""
+    seen = {**cross_check(query), result.method: result.value}
+    if len(set(seen.values())) != 1:
+        raise CrossCheckError(f"evaluators disagree on {query}: {seen}")
+    return result
 
 
 def crs(query: CrsQuery, checked: bool = False) -> CrsValue:
@@ -248,9 +256,5 @@ def crs(query: CrsQuery, checked: bool = False) -> CrsValue:
     ``cross_check(query)``; any disagreement raises ``CrossCheckError``
     rather than returning a value of uncertain provenance.
     """
-    if not checked:
-        return crs_multiplicative(query)
-    seen = cross_check(query)
-    if len(set(seen.values())) != 1:
-        raise CrossCheckError(f"evaluators disagree on {query}: {seen}")
-    return CrsValue(seen["multiplicative"], "multiplicative")
+    result = crs_multiplicative(query)
+    return _certified(query, result) if checked else result

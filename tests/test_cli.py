@@ -75,14 +75,10 @@ def test_explicit_method_checked_disagreement_exits_3(capsys, monkeypatch):
 
 
 def test_direct_guard_env_override(capsys, monkeypatch):
+    # the guard is fixed at 10**6 terms; no environment variable moves it
     monkeypatch.setenv("CRSUM_MAX_DIRECT", "3")
-    assert main(["crsum", "7", "3", "--method", "direct"]) == 2  # 7 terms > guard
-    monkeypatch.setenv("CRSUM_MAX_DIRECT", "2000000")
-    capsys.readouterr()
-    code, out = run(capsys, "crsum", "7", "3", "--method", "direct")
-    assert (code, out) == (0, "-1")
-    monkeypatch.setenv("CRSUM_MAX_DIRECT", "bogus")
-    assert main(["crsum", "7", "3", "--method", "direct"]) == 2
+    assert run(capsys, "crsum", "7", "3", "--method", "direct") == (0, "-1")
+    assert main(["crsum", "1001", "7", "--s", "2", "--method", "direct"]) == 2
 
 
 def test_jordan_ggcd_mobius(capsys):

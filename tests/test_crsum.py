@@ -78,16 +78,16 @@ def test_direct_examples():
 
 def test_direct_guard():
     with pytest.raises(ValueError):
-        crs_direct(CrsQuery(101, 1, 3))  # 101**3 > 10**6 default guard
-    with pytest.raises(ValueError):
-        crs_direct(CrsQuery(11, 1, 2), max_terms=100)
-    assert crs_direct(CrsQuery(10, 1, 2), max_terms=100).value == 1  # μ(10)
+        crs_direct(CrsQuery(101, 1, 3))  # 101**3 > 10**6
+    with pytest.raises(ValueError, match="q\\*\\*s <= 1000000, got 1002001"):
+        crs_direct(CrsQuery(1001, 1, 2))
+    assert crs_direct(CrsQuery(10, 1, 2)).value == 1  # μ(10)
 
 
 def test_direct_large_modulus_path():
     # beyond the root-table cache limit the evaluator computes trig per term
     query = CrsQuery(109, 109**2, 2)
-    assert crs_direct(query, max_terms=2 * 10**4).value == 109**2 - 1
+    assert crs_direct(query).value == 109**2 - 1
 
 
 # ---------------------------------------------------------------- mobius
@@ -198,7 +198,8 @@ def test_crs_checked_runs_clean_on_grid():
 
 def test_cross_check_order_and_direct_limit():
     assert cross_check(CrsQuery(2, 4, 2)) == {"mobius": 3, "multiplicative": 3, "direct": 3}
-    assert list(cross_check(CrsQuery(2, 4, 2), direct_limit=3)) == ["mobius", "multiplicative"]
+    assert list(cross_check(CrsQuery(100, 4, 2))) == ["mobius", "multiplicative", "direct"]
+    assert list(cross_check(CrsQuery(101, 4, 2))) == ["mobius", "multiplicative"]
     assert list(cross_check(CrsQuery(101, 5, 2))) == ["mobius", "multiplicative"]
 
 

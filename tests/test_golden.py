@@ -297,6 +297,24 @@ def test_sweep_opens_out_before_the_grid_runs(capsys, tmp_path, monkeypatch,
     assert captured.err.startswith("error: ") and path in captured.err
 
 
+@pytest.mark.parametrize("link", [None, "symlink_to", "hardlink_to"],
+                         ids=["same-path", "symlink", "hardlink"])
+def test_out_naming_the_spec_file_exits_2_and_keeps_the_spec(capsys, tmp_path, monkeypatch,
+                                                             link):
+    monkeypatch.chdir(tmp_path)
+    spec = tmp_path / "f.spec"
+    spec.write_text(SPEC, encoding="utf-8")
+    out = "f.spec"
+    if link:
+        getattr(tmp_path / "g.spec", link)(spec)
+        out = "g.spec"
+    code = cli.main(["expand", "f.spec", "3", "--out", out])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and out in captured.err
+    assert spec.read_bytes() == SPEC.encode("utf-8")
+
+
 def test_uncertified_operand_exits_2(capsys):
     # 10**30+57 is prime, but past the range where Miller-Rabin is exact
     code = cli.main(["mobius", "1000000000000000000000000000057"])
@@ -306,10 +324,9 @@ def test_uncertified_operand_exits_2(capsys):
 
 
 def test_direct_guard_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("CRSUM_MAX_DIRECT", "1000")
-    assert run(capsys, "crsum 1000 7 --s 2 --method direct") == (2, "")
-    monkeypatch.setenv("CRSUM_MAX_DIRECT", "bogus")
-    assert run(capsys, "crsum 7 3 --method direct") == (2, "")
+    monkeypatch.setenv("CRSUM_MAX_DIRECT", "3")
+    assert run(capsys, "crsum 7 3 --method direct") == (0, "-1\n")
+    assert run(capsys, "crsum 1001 7 --s 2 --method direct") == (2, "")
 
 
 @pytest.mark.parametrize("command", [
