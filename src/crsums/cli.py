@@ -402,8 +402,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         spec = getattr(args, "spec_file", None)
-        if spec and args.out and os.path.exists(args.out) and os.path.samefile(spec, args.out):
-            raise ValueError(f"--out {args.out} is the spec file and would be emptied")
+        if spec and args.out:  # a missing spec exits 2 here, before --out is touched
+            spec_stat = os.stat(spec)
+            if os.path.exists(args.out) and os.path.samestat(spec_stat, os.stat(args.out)):
+                raise ValueError(f"--out {args.out} is the spec file and would be emptied")
         with (open(args.out, "w", encoding="utf-8") if args.out
               else nullcontext(sys.stdout)) as sink:
             return args.func(args, sink)

@@ -75,10 +75,14 @@ def test_explicit_method_checked_disagreement_exits_3(capsys, monkeypatch):
 
 
 def test_direct_guard_env_override(capsys, monkeypatch):
-    # the guard is fixed at 10**6 terms; no environment variable moves it
-    monkeypatch.setenv("CRSUM_MAX_DIRECT", "3")
-    assert run(capsys, "crsum", "7", "3", "--method", "direct") == (0, "-1")
-    assert main(["crsum", "1001", "7", "--s", "2", "--method", "direct"]) == 2
+    # the guard is fixed at 10**6 terms; no environment variable can lift it
+    monkeypatch.setenv("CRSUM_MAX_DIRECT", str(10**13))
+    assert main(["crsum", "1000003", "1", "--s", "2", "--method", "direct"]) == 2
+    assert "q**s <= 1000000, got 1000006000009" in capsys.readouterr().err
+    # the CLI sums up to the guard inclusive and refuses one term past it
+    monkeypatch.setattr(crsum_module, "DIRECT_GUARD", 100)
+    assert run(capsys, "crsum", "10", "1", "--s", "2", "--method", "direct") == (0, "1")
+    assert main(["crsum", "11", "1", "--s", "2", "--method", "direct"]) == 2
 
 
 def test_jordan_ggcd_mobius(capsys):

@@ -76,12 +76,17 @@ def test_direct_examples():
     assert crs_direct(CrsQuery(2, 4, 2)).value == 3
 
 
-def test_direct_guard():
+def test_direct_guard(monkeypatch):
     with pytest.raises(ValueError):
         crs_direct(CrsQuery(101, 1, 3))  # 101**3 > 10**6
     with pytest.raises(ValueError, match="q\\*\\*s <= 1000000, got 1002001"):
         crs_direct(CrsQuery(1001, 1, 2))
     assert crs_direct(CrsQuery(10, 1, 2)).value == 1  # μ(10)
+    # the guard is inclusive: q**s equal to it is summed, one past it is refused
+    monkeypatch.setattr(crsum_module, "DIRECT_GUARD", 100)
+    assert crs_direct(CrsQuery(10, 1, 2)).value == 1
+    with pytest.raises(ValueError, match="q\\*\\*s <= 100, got 121"):
+        crs_direct(CrsQuery(11, 1, 2))
 
 
 def test_direct_large_modulus_path():

@@ -283,13 +283,18 @@ def test_unusable_path_exits_2(capsys, tmp_path, command, path):
 @pytest.mark.parametrize("command, computation", [
     ("sweep --out {}", "run_sweep"),
     ("expand f.spec 3 --out {}", "partial_expansion"),
-    ("crsum 4 2 --out {}", "crs"),
+    ("crsum 4 2 --out {}", "auto"),  # the default entry of cli._METHODS
 ], ids=["sweep", "expand", "crsum"])
 def test_sweep_opens_out_before_the_grid_runs(capsys, tmp_path, monkeypatch,
                                               command, computation):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "f.spec").write_text(SPEC, encoding="utf-8")
-    monkeypatch.setattr(cli, computation, lambda *args: pytest.fail(f"{computation} ran"))
+    def fail(*args):
+        pytest.fail(f"{computation} ran")
+    if computation in cli._METHODS:
+        monkeypatch.setitem(cli._METHODS, computation, fail)
+    else:
+        monkeypatch.setattr(cli, computation, fail)
     path = str(tmp_path / "missing" / "x")
     code = cli.main(command.format(path).split())
     captured = capsys.readouterr()
@@ -313,6 +318,22 @@ def test_out_naming_the_spec_file_exits_2_and_keeps_the_spec(capsys, tmp_path, m
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("error: ") and out in captured.err
     assert spec.read_bytes() == SPEC.encode("utf-8")
+
+
+@pytest.mark.parametrize("out_text", [None, "kept\n"], ids=["new-out", "existing-out"])
+def test_missing_spec_exits_2_and_leaves_out_alone(capsys, tmp_path, monkeypatch, out_text):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "r.json"
+    if out_text is not None:
+        out.write_text(out_text, encoding="utf-8")
+    code = cli.main(["expand", "missing.spec", "3", "--out", "r.json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and "missing.spec" in captured.err
+    if out_text is None:
+        assert not out.exists()
+    else:
+        assert out.read_text(encoding="utf-8") == out_text
 
 
 def test_uncertified_operand_exits_2(capsys):
