@@ -159,7 +159,7 @@ def jordan_totient(s: int, n: int) -> int:
     Computed prime-power-wise as ∏ p**(s·(e-1)) · (p**s - 1) so no rational
     arithmetic is involved.  J_1 is the Euler totient φ.
     """
-    _require_positive(s=s, n=n)
+    _require_positive(s=s)
     total = 1
     for p, e in factorize(n):
         ps = p**s

@@ -45,7 +45,6 @@ DIRECT_GUARD = 10**6
 CHECKED_DIRECT_GUARD = 10**4
 
 _INTEGRALITY_TOL = 1e-6
-_TABLE_CACHE_LIMIT = 10_000
 
 
 class DirectRoundingError(ArithmeticError):
@@ -86,7 +85,7 @@ class _RootsOnIndex:
         return cmath.rect(1.0, math.tau * t / self.modulus)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _root_table(modulus: int) -> tuple[complex, ...]:
     """Every e(t/modulus), equal bit for bit to _RootsOnIndex(modulus)[t]."""
     return tuple([cmath.rect(1.0, math.tau * t / modulus) for t in range(modulus)])
@@ -100,7 +99,7 @@ def _admissible(q: int, s: int) -> Iterable[int]:
     return terms
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def _admissible_h(q: int, s: int) -> tuple[int, ...]:
     return tuple(_admissible(q, s))
 
@@ -112,9 +111,9 @@ def _direct_value(q: int, n: int, s: int) -> int:
             f"direct evaluation requires q**s <= {DIRECT_GUARD}, got {qs}; "
             "use the mobius or multiplicative evaluator instead"
         )
-    # Small moduli reuse cached tables; larger ones stream both sources so
-    # the extra memory stays O(1).
-    if qs <= _TABLE_CACHE_LIMIT:
+    # Moduli that ``cross_check`` sums reuse the last (q, s)'s cached tables;
+    # larger ones stream both sources so the extra memory stays O(1).
+    if qs <= CHECKED_DIRECT_GUARD:
         roots, terms = _root_table(qs), _admissible_h(q, s)
     else:
         roots, terms = _RootsOnIndex(qs), _admissible(q, s)

@@ -241,13 +241,26 @@ def test_rearrangement_sparse_specs():
                 assert rearrangement_check(spec, n, s)
 
 
-@pytest.mark.parametrize("name", ["divisor_abs_sum", "grytczuk_value", "_multiplicative_value"])
-def test_rearrangement_detects_a_wrong_route(monkeypatch, name):
+def _shifted_at_12(original):
+    # 12 is in the support and divides no other entry, so each route shifts.
+    return lambda k, n, s: original(k, n, s) + (k == 12)
+
+
+def _omega_3_read_as_2(original):
+    # The closed terms at 6 and 12 (g = 2, 4; k/g = 3) move, while the
+    # chain, which reads the same byte on both of its sides, still holds.
+    return lambda bound: original(bound)[:3] + b"\2" + original(bound)[4:]
+
+
+@pytest.mark.parametrize("name, poison", [
+    pytest.param("divisor_abs_sum", _shifted_at_12, id="divisor_abs_sum"),
+    pytest.param("_omega_sieve", _omega_3_read_as_2, id="omega_sieve_closed_side"),
+    pytest.param("_multiplicative_value", _shifted_at_12, id="_multiplicative_value"),
+])
+def test_rearrangement_detects_a_wrong_route(monkeypatch, name, poison):
     spec = MobiusSpec(12, {2: 3, 6: -1, 12: 2})
     assert rearrangement_check(spec, 4, 2)
-    original = getattr(expansions, name)
-    # 12 is in the support and divides no other entry, so each route shifts.
-    monkeypatch.setattr(expansions, name, lambda k, n, s: original(k, n, s) + (k == 12))
+    monkeypatch.setattr(expansions, name, poison(getattr(expansions, name)))
     assert not rearrangement_check(spec, 4, 2)
 
 
@@ -262,17 +275,17 @@ def test_rearrangement_checks_the_lower_bound_off_the_support(monkeypatch):
     assert not rearrangement_check(spec, 22, 2)
 
 
-def test_rearrangement_checks_grytczuk_against_the_sieve(monkeypatch):
+def test_rearrangement_checks_the_grouped_sum_against_the_sieve(monkeypatch):
     spec = MobiusSpec(12, {2: 3, 6: -1, 12: 2})
     assert rearrangement_check(spec, 4, 2)
-    # Shift all three routes alike at 12, which is in the support and divides
-    # no other entry: the three sums still agree, so only the sieve objects.
-    for name in ("divisor_abs_sum", "grytczuk_value"):
-        monkeypatch.setattr(expansions, name,
-                            lambda k, n, s, f=getattr(expansions, name): f(k, n, s) + (k == 12))
+    # Shift the literal and the grouped sum alike at 12, which is in the
+    # support and divides no other entry: they still agree, so only the
+    # closed side, read from the sieve, objects.
+    monkeypatch.setattr(expansions, "divisor_abs_sum",
+                        _shifted_at_12(expansions.divisor_abs_sum))
     value = expansions._multiplicative_value
 
-    def shifted_value(q, n, s):  # |c_12| grows by one, as the other two did
+    def shifted_value(q, n, s):  # |c_12| grows by one, as divisor_abs_sum did
         c = value(q, n, s)
         return c + (q == 12) * (-1 if c < 0 else 1)
 
@@ -284,6 +297,13 @@ def test_omega_sieve_matches_omega():
     table = expansions._omega_sieve(10**5)
     assert len(table) == 10**5 + 1
     assert all(table[k] == omega(k) for k in range(1, 10**5 + 1))
+
+
+def test_omega_sieve_matches_omega_up_to_3_million():
+    table = expansions._omega_sieve(3 * 10**6)
+    rng = random.Random(2024)
+    points = [rng.randint(1, 3 * 10**6) for _ in range(2000)] + [2_552_550, 2_999_999]
+    assert [table[k] for k in points] == [omega(k) for k in points]
 
 
 def test_sieve_term_matches_grytczuk_value():
