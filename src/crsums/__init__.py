@@ -6,8 +6,7 @@ from .arith import (
 )
 from .crsum import (
     CHECKED_DIRECT_GUARD, DIRECT_GUARD, CrossCheckError, CrsQuery, CrsValue,
-    DirectRoundingError, crs, crs_direct, crs_hoelder, crs_mobius,
-    crs_multiplicative, cross_check,
+    crs, crs_direct, crs_hoelder, crs_mobius, crs_multiplicative, cross_check,
 )
 from .expansions import (
     Expansion, ExpansionReport, MobiusSpec, coefficient, delange_condition_sum,
@@ -26,7 +25,6 @@ __all__ = [
     "CrossCheckError",
     "CrsQuery",
     "CrsValue",
-    "DirectRoundingError",
     "Expansion",
     "ExpansionReport",
     "MobiusSpec",

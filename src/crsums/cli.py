@@ -11,10 +11,10 @@ each row as its check runs, so a sweep that aborts leaves the rows before it.
 
 Exit codes are stable: 0 success, 2 usage/parse/precondition failure, an
 operand that cannot be factored with certainty or a path that cannot be read or
-written, 3 cross-method disagreement or integrality failure, 4 sweep with
-failures.  Rationals serialize as "num/den" strings in lowest terms (bare "num"
-when the denominator is 1); integers that can exceed 2**53 are emitted as
-decimal strings so JSON consumers never see a lossy float.
+written, 3 cross-method disagreement, 4 sweep with failures.  Rationals
+serialize as "num/den" strings in lowest terms (bare "num" when the
+denominator is 1); integers that can exceed 2**53 are emitted as decimal
+strings so JSON consumers never see a lossy float.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .arith import generalized_gcd, jordan_totient, mobius
 from .crsum import (
     CrossCheckError,
     CrsQuery,
-    DirectRoundingError,
     _certified,
     crs,
     crs_direct,
@@ -409,9 +408,9 @@ def main(argv: list[str] | None = None) -> int:
         with (open(args.out, "w", encoding="utf-8") if args.out
               else nullcontext(sys.stdout)) as sink:
             return args.func(args, sink)
-    except (CrossCheckError, DirectRoundingError, ValueError, OSError) as exc:
+    except (CrossCheckError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, (CrossCheckError, DirectRoundingError)) else 2
+        return 3 if isinstance(exc, CrossCheckError) else 2
 
 
 def entrypoint() -> None:

@@ -9,8 +9,9 @@ the classical c_q(n).  The value is always a rational integer, and the four
 evaluators below compute it along unrelated routes so they can certify one
 another:
 
-* ``crs_direct``          literal root-of-unity summation (ground truth,
-                          size-gated because it costs O(q**s) terms)
+* ``crs_direct``          literal root-of-unity summation, in a prime field
+                          (ground truth, size-gated because it costs O(q**s)
+                          terms)
 * ``crs_mobius``          the divisor sum Σ_{d|q, d**s|n} μ(q/d)·d**s
                           (exact integer reference)
 * ``crs_multiplicative``  prime-power product (the default fast path)
@@ -22,10 +23,10 @@ another:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, count, repeat
 from typing import Iterable, Literal
 
 from .arith import (
@@ -43,13 +44,6 @@ Method = Literal["direct", "mobius", "multiplicative", "hoelder"]
 DIRECT_GUARD = 10**6
 #: At or below this many terms ``cross_check`` also runs the literal summation.
 CHECKED_DIRECT_GUARD = 10**4
-
-_INTEGRALITY_TOL = 1e-6
-
-
-class DirectRoundingError(ArithmeticError):
-    """The literal summation did not land within tolerance of an integer."""
-
 
 class CrossCheckError(RuntimeError):
     """Independent evaluators disagreed on the same query."""
@@ -75,20 +69,43 @@ class CrsValue:
     method: Method
 
 
-@dataclass(frozen=True)
+def _field(modulus: int) -> tuple[int, int]:
+    """The first prime P = 1 + j·modulus with j >= 2, and ω of order modulus mod P.
+
+    ω = a**j mod P for the first a >= 2 with ω**(modulus/p) != 1 for every
+    prime p | modulus; ω**modulus = a**(P-1) = 1, so its order is modulus.
+    Every primitive root mod P is such an a, and Dirichlet's theorem gives
+    the prime, so both scans end.
+    """
+    prime = next(p for p in count(1 + 2 * modulus, modulus) if factorize(p) == ((p, 1),))
+    cofactors = [modulus // p for p, _ in factorize(modulus)]
+    candidates = (pow(a, (prime - 1) // modulus, prime) for a in count(2))
+    return prime, next(w for w in candidates if all(pow(w, c, prime) != 1 for c in cofactors))
+
+
+def _powers(base: int, length: int, prime: int) -> tuple[int, ...]:
+    """base**t mod prime for t in 0..length-1."""
+    return tuple(accumulate(repeat(base, length - 1), lambda x, y: x * y % prime, initial=1))
+
+
 class _RootsOnIndex:
-    """e(t/modulus) computed from the index t on each lookup; holds no table."""
+    """ω**t mod P from two tables of ⌈√modulus⌉ powers each, so O(√modulus) memory."""
 
-    modulus: int
+    def __init__(self, modulus: int) -> None:
+        self.prime, root = _field(modulus)
+        self.width = math.isqrt(modulus - 1) + 1  # t < modulus <= width**2
+        self.low = _powers(root, self.width, self.prime)
+        self.high = _powers(pow(root, self.width, self.prime), self.width, self.prime)
 
-    def __getitem__(self, t: int) -> complex:
-        return cmath.rect(1.0, math.tau * t / self.modulus)
+    def __getitem__(self, t: int) -> int:
+        return self.high[t // self.width] * self.low[t % self.width] % self.prime
 
 
 @lru_cache(maxsize=1)
-def _root_table(modulus: int) -> tuple[complex, ...]:
-    """Every e(t/modulus), equal bit for bit to _RootsOnIndex(modulus)[t]."""
-    return tuple([cmath.rect(1.0, math.tau * t / modulus) for t in range(modulus)])
+def _root_table(modulus: int) -> tuple[int, tuple[int, ...]]:
+    """P and every ω**t mod P, equal to _RootsOnIndex(modulus).prime and [t]."""
+    prime, root = _field(modulus)
+    return prime, _powers(root, modulus, prime)
 
 
 def _admissible(q: int, s: int) -> Iterable[int]:
@@ -105,6 +122,24 @@ def _admissible_h(q: int, s: int) -> tuple[int, ...]:
 
 
 def _direct_value(q: int, n: int, s: int) -> int:
+    """Σ e(n·h/Q) over the admissible h, Q = q**s, summed as Σ ω**(n·h mod Q) in F_P.
+
+    P and ω are those of ``_field(Q)``: P is prime, P ≡ 1 (mod Q), P > 2Q,
+    and ω has order Q mod P.  The residue of the sum, lifted into
+    (-P/2, P/2), is the value c of Σ e(n·h/Q) itself:
+
+    * a unit u mod Q permutes the admissible h, since p ∤ u gives p**s | u·h
+      exactly when p**s | h.  So each Galois map ζ ↦ ζ**u of Q(ζ_Q) fixes
+      c, which is therefore a rational integer;
+    * P ∤ Q, so x**Q - 1 has distinct roots mod P, and ω, of order Q, is a
+      root of the cyclotomic polynomial Φ_Q.  Hence ζ_Q ↦ ω is a ring map
+      from Z[ζ_Q] = Z[x]/(Φ_Q) to F_P.  It sends Σ ζ_Q**(n·h) to the sum
+      of the ω**(n·h mod Q), and the integer c to c mod P;
+    * |c| <= #admissible <= Q < P/2, so the lift returns c.
+
+    The terms are added one by one, with no Möbius or multiplicative
+    formula, so this route stays independent of the other evaluators.
+    """
     qs = q**s
     if qs > DIRECT_GUARD:
         raise ValueError(
@@ -112,28 +147,15 @@ def _direct_value(q: int, n: int, s: int) -> int:
             "use the mobius or multiplicative evaluator instead"
         )
     # Moduli that ``cross_check`` sums reuse the last (q, s)'s cached tables;
-    # larger ones stream both sources so the extra memory stays O(1).
+    # larger ones stream the terms, so the extra memory stays O(√qs).
     if qs <= CHECKED_DIRECT_GUARD:
-        roots, terms = _root_table(qs), _admissible_h(q, s)
+        (prime, roots), terms = _root_table(qs), _admissible_h(q, s)
     else:
         roots, terms = _RootsOnIndex(qs), _admissible(q, s)
+        prime = roots.prime
     n_red = n % qs
-    # Kahan-compensated accumulation; complex + and - act componentwise, so
-    # the compensation is valid for both parts at once.
-    acc = 0j
-    comp = 0j
-    for h in terms:
-        y = roots[n_red * h % qs] - comp
-        tot = acc + y
-        comp = (tot - acc) - y
-        acc = tot
-    nearest = round(acc.real)
-    if abs(acc.imag) >= _INTEGRALITY_TOL or abs(acc.real - nearest) >= _INTEGRALITY_TOL:
-        raise DirectRoundingError(
-            f"root-of-unity sum for (q={q}, n={n}, s={s}) landed at {acc!r}, "
-            f"outside the {_INTEGRALITY_TOL} integrality tolerance"
-        )
-    return int(nearest)
+    residue = sum(roots[n_red * h % qs] for h in terms) % prime
+    return residue - prime if residue > prime // 2 else residue
 
 
 def _mobius_value(q: int, n: int, s: int) -> int:
@@ -177,10 +199,9 @@ def _hoelder_value(q: int, n: int, s: int) -> int:
 def crs_direct(query: CrsQuery) -> CrsValue:
     """Evaluate by summing the roots of unity literally, refused past 10**6 terms.
 
-    The angle is reduced through an exact integer modulus before any trig is
-    done, and the accumulation is compensated, so the result sits within
-    1e-6 of an integer for every admissible size; if it does not, the
-    evaluator raises instead of rounding silently.
+    The sum is taken in a prime field where it is exact; ``_direct_value``
+    proves that the lifted residue is the integer c_q^(s)(n) itself, so no
+    float or tolerance is involved.
     """
     return CrsValue(_direct_value(query.q, query.n, query.s), "direct")
 
@@ -227,8 +248,7 @@ def cross_check(query: CrsQuery) -> dict[str, int]:
 
     Keys come in the order mobius, multiplicative, then direct, which joins
     only when q**s <= ``CHECKED_DIRECT_GUARD`` (10**4).  Callers decide what
-    a disagreement means; a direct sum that misses an integer raises
-    DirectRoundingError.
+    a disagreement means.
     """
     q, n, s = query.q, query.n, query.s
     seen = {

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, one printed PASS/FAIL line each.
 
-Every comparison below is an exact integer or rational equality; the only
-tolerance in the package is the 1e-6 integrality window inside the direct
-root-of-unity evaluator, which is part of what criterion 1 certifies.
+Every comparison below is an exact integer or rational equality, and the
+package has no tolerance anywhere: the direct root-of-unity evaluator sums in
+a prime field, where its value is exact.
 """
 
 from __future__ import annotations

@@ -10,15 +10,17 @@ import pytest
 import crsums.crsum as crsum_module
 from crsums.arith import jordan_totient, mobius
 from crsums.crsum import (
+    CHECKED_DIRECT_GUARD,
     CrossCheckError,
     CrsQuery,
-    DirectRoundingError,
     crs,
     crs_direct,
     crs_hoelder,
     crs_mobius,
     crs_multiplicative,
     cross_check,
+    _certified,
+    _field,
     _root_table,
     _RootsOnIndex,
 )
@@ -90,9 +92,36 @@ def test_direct_guard(monkeypatch):
 
 
 def test_direct_large_modulus_path():
-    # beyond the root-table cache limit the evaluator computes trig per term
+    # past CHECKED_DIRECT_GUARD the evaluator streams its powers of ω from
+    # two tables of ⌈√(q**s)⌉ entries
     query = CrsQuery(109, 109**2, 2)
     assert crs_direct(query).value == 109**2 - 1
+
+
+@pytest.mark.parametrize("q, s", [(1000, 2), (100, 3), (997, 2)])
+def test_direct_matches_mobius_at_the_top_of_the_streamed_range(q, s):
+    # n = q**s sums every term to 1, the largest value to lift; n = q**s - 1
+    # and n = 7 are coprime to q and give small values, of either sign
+    for n in (q**s, q**s - 1, 7):
+        query = CrsQuery(q, n, s)
+        assert crs_direct(query).value == crs_mobius(query).value
+
+
+def test_direct_matches_mobius_on_random_cached_moduli():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    q_max = {1: CHECKED_DIRECT_GUARD, 2: 100, 3: 21}  # the largest q with q**s <= 10**4
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(
+        st.integers(1, 3).flatmap(lambda s: st.tuples(st.integers(1, q_max[s]), st.just(s))),
+        st.integers(1, 10**12),
+    )
+    def agree(qs_pair, n):
+        query = CrsQuery(qs_pair[0], n, qs_pair[1])
+        assert crs_direct(query).value == crs_mobius(query).value
+
+    agree()
 
 
 # ---------------------------------------------------------------- mobius
@@ -214,30 +243,47 @@ def test_crs_checked_flags_disagreement(monkeypatch):
         crs(CrsQuery(6, 3, 1), checked=True)
 
 
-def test_direct_rounding_error_is_raised_not_rounded(monkeypatch):
-    # poison both root sources so the sum cannot land near an integer: the
-    # cached table (q**s <= 10**4) and the on-index trig (q**s > 10**4)
-    def poisoned(modulus):
-        return (0.5 + 0.5j,) * modulus
+class _OnesOnIndex:
+    """A poisoned streamed root source: every power of ω reads as 1."""
 
-    monkeypatch.setattr(crsum_module, "_root_table", poisoned)
-    monkeypatch.setattr(crsum_module, "_RootsOnIndex", poisoned)
-    with pytest.raises(DirectRoundingError):
-        crs_direct(CrsQuery(3, 1, 1))
-    with pytest.raises(DirectRoundingError):
-        crs_direct(CrsQuery(101, 1, 2))  # 10201 terms
+    prime = 10**9 + 7
+
+    def __init__(self, modulus: int) -> None:
+        pass
+
+    def __getitem__(self, t: int) -> int:
+        return 1
+
+
+def test_poisoned_root_table_gives_a_wrong_integer_that_checking_catches(monkeypatch):
+    # every root reads as 1, so each sum counts its admissible h; poison both
+    # the cached table (q**s <= 10**4) and the streamed source (q**s > 10**4)
+    monkeypatch.setattr(crsum_module, "_root_table", lambda m: (10**9 + 7, (1,) * m))
+    monkeypatch.setattr(crsum_module, "_RootsOnIndex", _OnesOnIndex)
+    assert crs_direct(CrsQuery(3, 1, 1)).value == 2  # c_3(1) = -1
+    with pytest.raises(CrossCheckError):
+        crs(CrsQuery(3, 1, 1), checked=True)
+    streamed = CrsQuery(101, 1, 2)  # 10201 terms
+    assert crs_direct(streamed).value == 101**2 - 1  # c_101^(2)(1) = -1
+    with pytest.raises(CrossCheckError):
+        _certified(streamed, crs_direct(streamed))  # crsum --method direct --checked
 
 
 def test_root_table_equals_roots_on_index():
-    # both root sources compute cmath.rect(1.0, tau * t / m), so cached and
-    # streamed direct sums add the same floats
-    for m in [*range(1, 3001), 10**4]:
-        assert _root_table(m) == tuple(map(_RootsOnIndex(m).__getitem__, range(m)))
+    # cached and streamed direct sums read the same prime and the same powers
+    for m in [*range(1, 3001), CHECKED_DIRECT_GUARD]:
+        streamed = _RootsOnIndex(m)
+        assert _root_table(m) == (streamed.prime, tuple(map(streamed.__getitem__, range(m))))
     _root_table.cache_clear()
 
 
-def test_roots_match_cos_and_sin():
-    for m in (1, 2, 7, 360, 9973):
-        for t in range(m):
-            angle = math.tau * t / m
-            assert _RootsOnIndex(m)[t] == complex(math.cos(angle), math.sin(angle))
+def test_field_has_a_root_of_order_q():
+    # what the exactness proof of _direct_value needs from _field(Q)
+    sympy = pytest.importorskip("sympy")
+    for modulus in [*range(1, CHECKED_DIRECT_GUARD + 1), 10**4 + 1, 109**2, 997**2, 10**6]:
+        prime, root = _field(modulus)
+        assert sympy.isprime(prime)
+        assert (prime - 1) % modulus == 0 and prime > 2 * modulus
+        assert pow(root, modulus, prime) == 1
+        for p in sympy.primefactors(modulus):
+            assert pow(root, modulus // p, prime) != 1
