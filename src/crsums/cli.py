@@ -7,7 +7,8 @@ one table, ``SCALARS``, served by one handler.  ``main`` fully builds only
 the subcommand its argv names; the others stay bare entries.  It then opens the
 one sink, ``--out`` or stdout, before any computation, and every handler
 ``(args, sink) -> int`` prints its output there: ``sweep --format csv`` writes
-each row as its check runs, so a sweep that aborts leaves the rows before it.
+each row as its check runs, so a sweep that aborts leaves the rows before it,
+and ``expand`` writes its coefficients in bounded pieces, whatever K is.
 
 Exit codes are stable: 0 success, 2 usage/parse/precondition failure, an
 operand that cannot be factored with certainty or a path that cannot be read or
@@ -63,8 +64,9 @@ def _json_int(value: int):
 def _dumps(obj) -> str:
     """Compact JSON; int keys become strings and Fractions "num/den" strings.
 
-    The reports hold no cycles, and skipping the check per value is what
-    keeps a K-entry ``coefficients`` object as fast as a dict of strings.
+    The reports hold no cycles, so the per-container check is skipped.
+    ``expand`` writes its q_max-entry ``coefficients`` object itself, with
+    ``_write_coefficients``, and passes only its other fields through here.
     """
     return json.dumps(obj, separators=(",", ":"), default=str, check_circular=False)
 
@@ -301,19 +303,42 @@ def _cmd_expand(args: argparse.Namespace, sink: TextIO) -> int:
     with open(args.spec_file, encoding="utf-8") as spec_file:
         spec = MobiusSpec.from_text(spec_file.read())
     report = partial_expansion(spec, args.n, args.s, args.q_max)
-    print(_dumps({
+    # The same bytes as one _dumps of the whole report, written in pieces.
+    sink.write(_dumps({
         "label": spec.label,
         "support_bound": spec.support_bound,
         "n": report.n,
         "s": report.s,
         "q_max": report.q_max,
-        "coefficients": report.coefficients,
+    })[:-1] + ',"coefficients":{')
+    _write_coefficients(sink, report.coefficients.nonzero, report.q_max)
+    sink.write("}," + _dumps({
         "partial_sum": report.partial_sum,
         "target": report.target,
         "residual": report.residual,
         "condition_sum": report.condition_sum,
-    }), file=sink)
+    })[1:] + "\n")
     return 0
+
+
+_ZERO_RUN = 1 << 14  # keys per write in a run of zero coefficients
+
+
+def _write_coefficients(sink: TextIO, nonzero: dict, q_max: int) -> None:
+    """Write the members "q":"a_q" for q in 1..q_max, as _dumps would.
+
+    ``nonzero`` holds the non-zero a_q in increasing q; the runs of "0"
+    between them are written _ZERO_RUN keys at a time, so memory stays
+    bounded whatever q_max is.
+    """
+    start = 1
+    for q, a in [*nonzero.items(), (q_max + 1, None)]:
+        for lo in range(start, q, _ZERO_RUN):
+            keys = map(str, range(lo, min(lo + _ZERO_RUN, q)))
+            sink.write(("," if lo > 1 else "") + '"' + '":"0","'.join(keys) + '":"0"')
+        if a is not None:
+            sink.write(f'{"," if q > 1 else ""}"{q}":"{a}"')
+        start = q + 1
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ from functools import lru_cache
 from itertools import accumulate, count, repeat
 from typing import Iterable, Literal
 
+from . import arith
 from .arith import (
     _require_positive,
     divisors,
@@ -77,8 +78,12 @@ def _field(modulus: int) -> tuple[int, int]:
     Every primitive root mod P is such an a, and Dirichlet's theorem gives
     the prime, so both scans end.
     """
-    prime = next(p for p in count(1 + 2 * modulus, modulus) if factorize(p) == ((p, 1),))
-    cofactors = [modulus // p for p, _ in factorize(modulus)]
+    # Uncached: no caller asks about these numbers again, and the candidates P
+    # would crowd factorize's cache.  It is read from arith itself, because a
+    # wrapper put on this module's ``factorize`` would unwrap to the cached one.
+    factor = arith.factorize.__wrapped__
+    prime = next(p for p in count(1 + 2 * modulus, modulus) if factor(p) == ((p, 1),))
+    cofactors = [modulus // p for p, _ in factor(modulus)]
     candidates = (pow(a, (prime - 1) // modulus, prime) for a in count(2))
     return prime, next(w for w in candidates if all(pow(w, c, prime) != 1 for c in cofactors))
 

@@ -18,11 +18,10 @@ most, whatever K is), so the sums here are integer sums over L that become
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
-from typing import Mapping
 
 from .arith import _require_positive, divisors, omega
 from .crsum import _multiplicative_value
@@ -101,14 +100,48 @@ def _parse_int(text: str, lineno: int) -> int:
         raise ValueError(f"line {lineno}: {text!r} is not an integer") from None
 
 
+_ZERO = Fraction(0)
+
+
+class _Coefficients(Mapping):
+    """The a_q for q in 1..q_max, in that order, as a read-only mapping.
+
+    Only the non-zero a_q are stored, in ``nonzero`` in increasing q; every
+    other q in range reads ``Fraction(0)``, so the view costs Σ d(k) over
+    the support whatever q_max is.  Any key that is not an int in
+    1..q_max raises KeyError.
+    """
+
+    def __init__(self, nonzero: dict[int, Fraction], q_max: int) -> None:
+        self.nonzero = nonzero
+        self._q_max = q_max
+
+    def __getitem__(self, q: int) -> Fraction:
+        if type(q) is not int or not 1 <= q <= self._q_max:
+            raise KeyError(q)
+        return self.nonzero.get(q, _ZERO)
+
+    def __iter__(self):
+        return iter(range(1, self._q_max + 1))
+
+    def __len__(self) -> int:
+        return self._q_max
+
+
 @dataclass(frozen=True)
 class ExpansionReport:
-    """Truncated expansion of one (f, n, s): coefficients, sums, residual."""
+    """Truncated expansion of one (f, n, s): coefficients, sums, residual.
+
+    ``coefficients`` maps every q in 1..q_max, in increasing order, to a_q
+    as a ``Fraction``.  It is a read-only ``Mapping`` view, not a dict: it
+    stores only the non-zero a_q, and compares equal to the dict with the
+    same items.
+    """
 
     s: int
     n: int
     q_max: int
-    coefficients: dict[int, Fraction] = field(repr=False)
+    coefficients: Mapping[int, Fraction] = field(repr=False)
     partial_sum: Fraction
     target: Fraction
     residual: Fraction
@@ -177,13 +210,13 @@ def partial_expansion(
     ns = n**s
     expansion = Expansion(spec, s)
     denominator = expansion.denominator
-    coefficients = dict.fromkeys(range(1, q_max + 1), Fraction(0))
+    nonzero = {}
     partial = 0
     for q, a in expansion.numerators.items():
         if q > q_max:
             break
         if a:
-            coefficients[q] = Fraction(a, denominator)
+            nonzero[q] = Fraction(a, denominator)
             partial += a * _multiplicative_value(q, ns, s)
     partial_sum = Fraction(partial, denominator)
     target = Fraction(f_from_spec(spec, n))
@@ -191,7 +224,7 @@ def partial_expansion(
         s=s,
         n=n,
         q_max=q_max,
-        coefficients=coefficients,
+        coefficients=_Coefficients(nonzero, q_max),
         partial_sum=partial_sum,
         target=target,
         residual=partial_sum - target,
@@ -206,17 +239,19 @@ def rearrangement_check(spec: MobiusSpec, n: int, s: int) -> bool:
     literal enumeration of the pairs (q, k = m·q) over the support, then
     regrouped along k through the divisor absolute sum, then once more
     through its closed form 2**ω(k/g)·g**s; all three are integers over
-    the common denominator of ``Expansion``.  True iff the three coincide,
-    every k in 1..K satisfies the chain
+    the common denominator of ``Expansion``.  True iff the three coincide
+    and every k in the support satisfies the chain
 
         2**ω(k**s/(k**s, n**s)_s) · (k**s, n**s)_s >= 2**ω(k),
 
-    and consequently Σ_k |f'(k)|/k**s·2**ω(k) is bounded by the grouped sum.
-    A False return means an identity was violated, i.e. a bug.
+    so that, term by term, Σ_k |f'(k)|/k**s·2**ω(k) is bounded by the
+    grouped sum.  A False return means an identity was violated, i.e. a bug.
 
-    The chain and the closed form are read from one ω sieve over 1..K and
-    factorize nothing: the largest d | k with d**s | n**s is g = gcd(k, n),
-    as d**s | n**s iff d | n, so (k**s, n**s)_s = g**s.
+    The largest d | k with d**s | n**s is g = gcd(k, n), as d**s | n**s iff
+    d | n, so (k**s, n**s)_s = g**s.  ω is read from the cached
+    factorization of k and k/g, so the check costs Σ d(k) over the support,
+    whatever K is.  Off the support f'(k) = 0 and the chain is a theorem,
+    not a property of the spec: ω(k) <= ω(g) + ω(k/g) and 2**ω(g) <= g <= g**s.
     """
     _require_positive(n=n, s=s)
     ns = n**s
@@ -230,25 +265,12 @@ def rearrangement_check(spec: MobiusSpec, n: int, s: int) -> bool:
             double_sum += cq * sum(w for k, w in weights.items() if k % q == 0)
 
     grouped = sum(w * divisor_abs_sum(k, ns, s) for k, w in weights.items())
-    omegas = _omega_sieve(spec.support_bound)
-    for k in range(1, spec.support_bound + 1):
-        g = gcd(k, n)
-        if (g**s << omegas[k // g]) < (1 << omegas[k]):  # termwise lower bound
-            return False
-    closed = omega_sum = 0
+    closed = 0
     for k, w in weights.items():
         g = gcd(k, n)
-        closed += w * (g**s << omegas[k // g])
-        omega_sum += w << omegas[k]
+        term = g**s << omega(k // g)
+        if term < 1 << omega(k):  # termwise lower bound
+            return False
+        closed += w * term
 
-    return double_sum == grouped == closed and omega_sum <= closed
-
-
-@lru_cache(maxsize=1)
-def _omega_sieve(bound: int) -> bytes:
-    """ω(k) at index k for k in 1..bound, one byte each (ω(k) <= 15 below 6·10**17)."""
-    table, increment = bytearray(bound + 1), bytes(range(1, 256)) + b"\0"
-    for p in range(2, bound + 1):
-        if not table[p]:  # no smaller prime divides p
-            table[p::p] = table[p::p].translate(increment)
-    return bytes(table)
+    return double_sum == grouped == closed

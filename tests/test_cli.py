@@ -11,6 +11,7 @@ import crsums.crsum as crsum_module
 import crsums.identities as identities_module
 from crsums import cli
 from crsums.cli import CHECKS, SweepGrid, build_parser, main, run_sweep
+from crsums.expansions import MobiusSpec, partial_expansion
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -241,6 +242,27 @@ def test_expand_report(capsys, tmp_path):
     assert payload["target"] == "2"
     assert payload["residual"] == "0"
     assert payload["condition_sum"] == "2"
+
+
+@pytest.mark.parametrize("zero_run", [1, 2, 5, cli._ZERO_RUN])
+def test_expand_streams_the_bytes_of_one_dumps(capsys, tmp_path, monkeypatch, zero_run):
+    # Runs of zero coefficients are written zero_run keys at a time; the
+    # reference serializes the whole report as one dict.
+    monkeypatch.setattr(cli, "_ZERO_RUN", zero_run)
+    spec = MobiusSpec(40, {1: 2, 7: -3, 24: 1, 39: 5}, label="st\u00e9p \"x\"")
+    spec_file = tmp_path / "f.spec"
+    spec_file.write_text(spec.to_text(), encoding="utf-8")
+    for n, s, q_max in ((6, 1, None), (7, 2, 1), (12, 3, 24), (5, 2, 100)):
+        argv = ["expand", str(spec_file), str(n), "--s", str(s)]
+        assert main(argv + (["--q-max", str(q_max)] if q_max else [])) == 0
+        report = partial_expansion(spec, n, s, q_max)
+        reference = json.dumps({
+            "label": spec.label, "support_bound": 40, "n": n, "s": s,
+            "q_max": report.q_max, "coefficients": dict(report.coefficients),
+            "partial_sum": report.partial_sum, "target": report.target,
+            "residual": report.residual, "condition_sum": report.condition_sum,
+        }, separators=(",", ":"), default=str) + "\n"
+        assert capsys.readouterr().out == reference
 
 
 def test_expand_trivial_spec(capsys, tmp_path):

@@ -201,6 +201,25 @@ def test_partial_expansion_matches_the_reference():
                 assert report.condition_sum == reference_condition_sum(spec, s)
 
 
+def test_coefficients_view_reads_like_the_dict():
+    spec = MobiusSpec(12, {2: 3, 6: -1, 12: 2})
+    for q_max in (1, 5, 12, 30):
+        coefficients = partial_expansion(spec, 4, 2, q_max).coefficients
+        reference = {q: reference_coefficient(spec, q, 2) for q in range(1, q_max + 1)}
+        assert len(coefficients) == q_max
+        assert list(coefficients) == list(range(1, q_max + 1))
+        assert all(type(a) is Fraction for a in coefficients.values())
+        assert coefficients == reference and reference == coefficients
+        assert coefficients != {**reference, 1: reference[1] + 1}
+        assert dict(coefficients) == reference
+        for key in (0, q_max + 1, -1, 1.0, "1", True, None):
+            with pytest.raises(KeyError):
+                coefficients[key]
+            assert key not in coefficients
+        with pytest.raises(TypeError):
+            coefficients[1] = Fraction(0)
+
+
 def test_partial_expansion_skips_the_scan_of_a_huge_sparse_support():
     # The support 1..10**12 has two entries; a_q depends only on their divisors.
     spec = MobiusSpec(10**12, {1: 1, 2**39: 3})
@@ -248,13 +267,13 @@ def _shifted_at_12(original):
 
 def _omega_3_read_as_2(original):
     # The closed terms at 6 and 12 (g = 2, 4; k/g = 3) move, while the
-    # chain, which reads the same byte on both of its sides, still holds.
-    return lambda bound: original(bound)[:3] + b"\2" + original(bound)[4:]
+    # chain still holds: ω(3) is read on its upper side only.
+    return lambda m: 2 if m == 3 else original(m)
 
 
 @pytest.mark.parametrize("name, poison", [
     pytest.param("divisor_abs_sum", _shifted_at_12, id="divisor_abs_sum"),
-    pytest.param("_omega_sieve", _omega_3_read_as_2, id="omega_sieve_closed_side"),
+    pytest.param("omega", _omega_3_read_as_2, id="omega_closed_side"),
     pytest.param("_multiplicative_value", _shifted_at_12, id="_multiplicative_value"),
 ])
 def test_rearrangement_detects_a_wrong_route(monkeypatch, name, poison):
@@ -264,14 +283,16 @@ def test_rearrangement_detects_a_wrong_route(monkeypatch, name, poison):
     assert not rearrangement_check(spec, 4, 2)
 
 
-def test_rearrangement_checks_the_lower_bound_off_the_support(monkeypatch):
-    spec = MobiusSpec(12, {2: 3})
+def test_rearrangement_checks_the_chain_at_a_support_entry(monkeypatch):
+    spec = MobiusSpec(22, {2: 3, 22: 1})
     assert rearrangement_check(spec, 22, 2)
-    original = expansions._omega_sieve
-    # ω(11) read as 7: at g = gcd(11, 22) = 11 the chain's term 11**2 falls
-    # below 2**7, at k = 11, which is off the support.
-    monkeypatch.setattr(expansions, "_omega_sieve",
-                        lambda bound: original(bound)[:11] + b"\7" + original(bound)[12:])
+    original = expansions.omega
+    # ω(22) read as 9: at g = gcd(22, 22) = 22 the chain's term 22**2 = 484
+    # falls below 2**9 = 512.  ω(22) is read on the lower side only, so the
+    # three sums still agree and only the chain at 22 objects.  Summed over
+    # the support the bound would still hold: the entry at 2 (weight 3·121,
+    # term 4 against 2**ω(2) = 2) covers the deficit.
+    monkeypatch.setattr(expansions, "omega", lambda m: 9 if m == 22 else original(m))
     assert not rearrangement_check(spec, 22, 2)
 
 
@@ -280,7 +301,7 @@ def test_rearrangement_checks_the_grouped_sum_against_the_sieve(monkeypatch):
     assert rearrangement_check(spec, 4, 2)
     # Shift the literal and the grouped sum alike at 12, which is in the
     # support and divides no other entry: they still agree, so only the
-    # closed side, read from the sieve, objects.
+    # closed side, read from ω, objects.
     monkeypatch.setattr(expansions, "divisor_abs_sum",
                         _shifted_at_12(expansions.divisor_abs_sum))
     value = expansions._multiplicative_value
@@ -293,27 +314,33 @@ def test_rearrangement_checks_the_grouped_sum_against_the_sieve(monkeypatch):
     assert not rearrangement_check(spec, 4, 2)
 
 
-def test_omega_sieve_matches_omega():
-    table = expansions._omega_sieve(10**5)
-    assert len(table) == 10**5 + 1
-    assert all(table[k] == omega(k) for k in range(1, 10**5 + 1))
-
-
-def test_omega_sieve_matches_omega_up_to_3_million():
-    table = expansions._omega_sieve(3 * 10**6)
-    rng = random.Random(2024)
-    points = [rng.randint(1, 3 * 10**6) for _ in range(2000)] + [2_552_550, 2_999_999]
-    assert [table[k] for k in points] == [omega(k) for k in points]
-
-
 def test_sieve_term_matches_grytczuk_value():
-    table = expansions._omega_sieve(2000)
+    # The closed term as rearrangement_check reads it, against the library's.
     for s in (1, 2, 3):
         for n in range(1, 61):
             ns = n**s
             for k in range(1, 2001):
                 g = gcd(k, n)
-                assert g**s << table[k // g] == grytczuk_value(k, ns, s), (k, n, s)
+                assert g**s << omega(k // g) == grytczuk_value(k, ns, s), (k, n, s)
+
+
+def test_rearrangement_chain_holds_off_any_support():
+    # rearrangement_check checks the chain at the support entries only; off
+    # them it is this theorem: ω(k) <= ω(g) + ω(k/g) and 2**ω(g) <= g <= g**s.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(1, 10**6), st.integers(1, 10**6),
+                      st.integers(1, 10**6), st.integers(1, 3))
+    def check(c, a, b, s):
+        k, n = c * a, c * b  # up to 10**12, sharing the factor c
+        g = gcd(k, n)
+        term = g**s << omega(k // g)
+        assert term == grytczuk_value(k, n**s, s)
+        assert term >= 1 << omega(k)
+
+    check()
 
 
 def test_s_adapted_gcd_of_an_sth_power_is_the_gcd():
