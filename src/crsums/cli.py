@@ -3,8 +3,9 @@
 ``crsum --checked`` means the same for every ``--method``: the chosen
 evaluator's value must agree with every value of ``crsum.cross_check``.  The
 scalar subcommands (jordan, ggcd, mobius, hsum, grytczuk, skn) are rows of
-one table, ``SCALARS``, served by one handler.  ``main`` fully builds only
-the subcommand its argv names; the others stay bare entries.  It then opens the
+one table, ``SCALARS``, served by one handler.  ``main`` builds the parser
+of only the subcommand that argv[0] names; any other argv gets the full
+parser, whose help and errors list every subcommand.  It then opens the
 one sink, ``--out`` or stdout, before any computation, and every handler
 ``(args, sink) -> int`` prints its output there: ``sweep --format csv`` writes
 each row as its check runs, so a sweep that aborts leaves the rows before it,
@@ -27,7 +28,7 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, TextIO
 
 from .arith import generalized_gcd, jordan_totient, mobius
@@ -299,10 +300,18 @@ def _cmd_sweep(args: argparse.Namespace, sink: TextIO) -> int:
     return 0 if not result.failures else 4
 
 
+# The most coefficients an expand report may hold: about 1.5 GB of JSON.
+_MAX_REPORT_ENTRIES = 10**8
+
+
 def _cmd_expand(args: argparse.Namespace, sink: TextIO) -> int:
     with open(args.spec_file, encoding="utf-8") as spec_file:
         spec = MobiusSpec.from_text(spec_file.read())
-    report = partial_expansion(spec, args.n, args.s, args.q_max)
+    q_max = args.q_max or spec.support_bound
+    if q_max > _MAX_REPORT_ENTRIES:
+        raise ValueError(f"the report would hold {q_max} coefficients, more than the "
+                         f"limit of {_MAX_REPORT_ENTRIES}")
+    report = partial_expansion(spec, args.n, args.s, q_max)
     # The same bytes as one _dumps of the whole report, written in pieces.
     sink.write(_dumps({
         "label": spec.label,
@@ -355,11 +364,56 @@ def _positive(text: str) -> int:
     return value
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The crsums parser; only the subcommand ``command`` names is fully built.
+def _add_operands(p: argparse.ArgumentParser, operands: tuple[str, ...]) -> None:
+    """Each operand is a positive positional argument, but "s" is --s (default 1)."""
+    for operand in operands:
+        if operand == "s":
+            p.add_argument("--s", type=_positive, default=1)
+        else:
+            p.add_argument(operand, type=_positive)
 
-    The others are bare entries: the top-level help, usage and "invalid
-    choice" text read only their names and help lines.  None builds them all.
+
+def _crsum_arguments(p: argparse.ArgumentParser) -> None:
+    _add_operands(p, ("q", "n", "s"))
+    p.add_argument("--method", default="auto", choices=_METHODS)
+    p.add_argument("--checked", action="store_true",
+                   help="cross-verify against independent evaluators (exit 3 on mismatch)")
+
+
+def _sweep_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k-min", type=_positive, default=1)
+    p.add_argument("--k-max", type=_positive, default=50)
+    p.add_argument("--n-min", type=_positive, default=1)
+    p.add_argument("--n-max", type=_positive, default=50)
+    p.add_argument("--s", type=_positive, nargs="+", default=[1, 2, 3])
+    p.add_argument("--checks", nargs="+", choices=sorted(CHECKS), default=sorted(CHECKS))
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _expand_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("spec_file")
+    _add_operands(p, ("n", "s"))
+    p.add_argument("--q-max", type=_positive, default=None)
+
+
+# name -> (help line, handler, adds the arguments after --json and --out),
+# in the order the top-level help lists them.
+COMMANDS = {
+    "crsum": ("evaluate c_q^(s)(n)", _cmd_crsum, _crsum_arguments),
+    **{name: (scalar.help, _cmd_scalar, partial(_add_operands, operands=scalar.operands))
+       for name, scalar in SCALARS.items()},
+    "sweep": ("run identity checks over a (k, n, s) grid", _cmd_sweep, _sweep_arguments),
+    "expand": ("expand an arithmetical function from a Möbius-transform file",
+               _cmd_expand, _expand_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The crsums parser, with only the subcommand ``command`` names.
+
+    Any other ``command``, None included, builds every subcommand: the
+    top-level help and the "invalid choice" errors list them all.  A
+    subcommand's usage, help and errors do not depend on its siblings.
     """
     parser = argparse.ArgumentParser(
         prog="crsums",
@@ -367,61 +421,24 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                     "and finite-support expansion checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name: str, text: str, func: Callable[[argparse.Namespace, TextIO], int],
-            s_option: bool = True) -> argparse.ArgumentParser | None:
-        if command not in (None, name):
-            sub.add_parser(name, help=text, add_help=False)
-            return None
+    for name in [command] if command in COMMANDS else COMMANDS:
+        text, func, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=text)
         p.set_defaults(func=func)
         p.add_argument("--json", action="store_true",
                        help="emit a JSON object instead of the bare value")
         p.add_argument("--out", metavar="PATH",
                        help="write the output to PATH instead of stdout")
-        if s_option:
-            p.add_argument("--s", type=_positive, default=1)
-        return p
-
-    if p := add("crsum", "evaluate c_q^(s)(n)", _cmd_crsum):
-        p.add_argument("q", type=_positive)
-        p.add_argument("n", type=_positive)
-        p.add_argument("--method", default="auto", choices=_METHODS)
-        p.add_argument("--checked", action="store_true",
-                       help="cross-verify against independent evaluators (exit 3 on mismatch)")
-
-    for name, scalar in SCALARS.items():
-        if p := add(name, scalar.help, _cmd_scalar, "s" in scalar.operands):
-            for operand in scalar.operands:
-                if operand != "s":
-                    p.add_argument(operand, type=_positive)
-
-    if p := add("sweep", "run identity checks over a (k, n, s) grid", _cmd_sweep,
-                s_option=False):
-        p.add_argument("--k-min", type=_positive, default=1)
-        p.add_argument("--k-max", type=_positive, default=50)
-        p.add_argument("--n-min", type=_positive, default=1)
-        p.add_argument("--n-max", type=_positive, default=50)
-        p.add_argument("--s", type=_positive, nargs="+", default=[1, 2, 3])
-        p.add_argument("--checks", nargs="+", choices=sorted(CHECKS), default=sorted(CHECKS))
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    if p := add("expand", "expand an arithmetical function from a Möbius-transform file",
-                _cmd_expand):
-        p.add_argument("spec_file")
-        p.add_argument("n", type=_positive)
-        p.add_argument("--q-max", type=_positive, default=None)
-
+        arguments(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # The top-level parser has only -h, so this is the token argparse reads as
-    # the command, or else that token ("-", "--", "-5") names no subcommand.
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    # The top-level parser has only -h, so a run that parses names its
+    # subcommand first; any other argv gets the full parser's help or error.
     try:
-        args = build_parser(command).parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -33,7 +33,9 @@ class MobiusSpec:
     """An arithmetical function given by its Möbius transform on 1..K.
 
     ``values`` holds the nonzero f'(k) entries as ints; keys must be ints in
-    1..K and missing keys are 0.  Instances are immutable value objects.
+    1..K and missing keys are 0.  ``label`` is one line of text without
+    outer whitespace, so that ``from_text(to_text())`` gives the spec back.
+    Instances are immutable value objects.
     """
 
     support_bound: int
@@ -42,6 +44,9 @@ class MobiusSpec:
 
     def __post_init__(self) -> None:
         _require_positive(support_bound=self.support_bound)
+        label = self.label
+        if type(label) is not str or label != label.strip() or len(label.splitlines()) > 1:
+            raise ValueError(f"label {label!r} is not one line of text without outer whitespace")
         cleaned: dict[int, int] = {}
         for k, v in self.values.items():
             if type(k) is not int or not 1 <= k <= self.support_bound:
@@ -59,11 +64,10 @@ class MobiusSpec:
         """Parse the line-oriented interchange format.
 
         Header lines ``K=<support bound>`` and optional ``label=<text>``,
-        then one ``k=value`` line per nonzero entry.  Blank lines and lines
-        starting with ``#`` are ignored.
+        each at most once, then one ``k=value`` line per nonzero entry.
+        Blank lines and lines starting with ``#`` are ignored.
         """
-        bound: int | None = None
-        label = ""
+        headers: dict[str, int | str] = {}
         entries: dict[int, int] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -74,18 +78,18 @@ class MobiusSpec:
                 raise ValueError(f"line {lineno}: expected 'key=value', got {raw!r}")
             key = key.strip()
             value = value.strip()
-            if key == "K":
-                bound = _parse_int(value, lineno)
-            elif key == "label":
-                label = value
+            if key in ("K", "label"):
+                if key in headers:
+                    raise ValueError(f"line {lineno}: duplicate header line {key}=")
+                headers[key] = _parse_int(value, lineno) if key == "K" else value
             else:
                 k = _parse_int(key, lineno)
                 if k in entries:
                     raise ValueError(f"line {lineno}: duplicate entry for k={k}")
                 entries[k] = _parse_int(value, lineno)
-        if bound is None:
+        if "K" not in headers:
             raise ValueError("missing required header line 'K=<support bound>'")
-        return cls(support_bound=bound, values=entries, label=label)
+        return cls(support_bound=headers["K"], values=entries, label=headers.get("label", ""))
 
     def to_text(self) -> str:
         lines = [f"K={self.support_bound}", f"label={self.label}"]

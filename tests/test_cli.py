@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
+import functools
+import itertools
 import json
 
 import pytest
@@ -137,6 +140,51 @@ def test_lazy_parser_gives_the_full_parsers_namespace(command):
     assert vars(build_parser(command).parse_args(argv)) == full
 
 
+ARGV_TOKENS = [*VALID_ARGV, "-h", "--help", "--he", "--json", "--s", "2", "0", "x", "--",
+               "-5", "--bogus", "--method", "nope"]
+
+
+def test_main_gives_the_full_parsers_output_on_an_argv_grid(capsys, monkeypatch, tmp_path):
+    # main, which builds one subcommand's parser when argv[0] names it,
+    # against main with the full parser forced, on every argv of 0-2 tokens
+    # and every 3-token argv whose first token names a subcommand.  (Any
+    # other first token builds every subcommand on both sides; each such
+    # token is covered at lengths 1 and 2.)  Each parser is built once per
+    # distinct argument and reused, which parse_args allows, and no sweep is
+    # computed, so the grid runs in about 2 s.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_sweep", lambda grid, on_row=None: cli.SweepResult(grid))
+    full = build_parser(None)
+    builders = (functools.cache(build_parser), lambda command=None: full)
+    grid = [argv for length in range(4) for argv in itertools.product(ARGV_TOKENS, repeat=length)
+            if length < 3 or argv[0] in VALID_ARGV]
+
+    def outcome(build, argv):
+        monkeypatch.setattr(cli, "build_parser", build)
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    for argv in grid:
+        lazy, reference = (outcome(build, argv) for build in builders)
+        assert lazy == reference, argv
+
+
+def test_a_named_subcommand_builds_two_parsers(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["mobius", "5"]) == 0
+    assert capsys.readouterr().out == "-1\n"
+    assert built == ["crsums", "crsums mobius"]
+
+
 # ---------------------------------------------------------------- sweep
 
 
@@ -263,6 +311,29 @@ def test_expand_streams_the_bytes_of_one_dumps(capsys, tmp_path, monkeypatch, ze
             "residual": report.residual, "condition_sum": report.condition_sum,
         }, separators=(",", ":"), default=str) + "\n"
         assert capsys.readouterr().out == reference
+
+
+@pytest.mark.parametrize("spec_text, q_max, refused", [
+    ("K=5\n1=1\n", None, False),
+    ("K=6\n1=1\n", None, True),
+    ("K=3\n1=1\n", "5", False),
+    ("K=3\n1=1\n", "6", True),
+])
+def test_expand_refuses_a_report_past_the_size_limit(capsys, tmp_path, monkeypatch,
+                                                    spec_text, q_max, refused):
+    monkeypatch.setattr(cli, "_MAX_REPORT_ENTRIES", 5)
+    spec_file = tmp_path / "f.spec"
+    spec_file.write_text(spec_text)
+    out = tmp_path / "r.json"
+    argv = ["expand", str(spec_file), "7", "--out", str(out)]
+    code = main(argv + (["--q-max", q_max] if q_max else []))
+    captured = capsys.readouterr()
+    if refused:
+        assert (code, captured.out, out.read_text()) == (2, "", "")
+        assert captured.err.startswith("error: ") and "limit of 5" in captured.err
+    else:
+        assert (code, captured.err) == (0, "")
+        assert len(json.loads(out.read_text())["coefficients"]) == 5
 
 
 def test_expand_trivial_spec(capsys, tmp_path):

@@ -399,8 +399,38 @@ def test_from_text_parses_comments_and_blanks():
         "K=4\nfoo\n",  # not key=value
         "K=4\n5=1\n",  # entry beyond support
         "K=4\n2=1\n2=2\n",  # duplicate entry
+        "K=4\nK=5\n1=1\n",  # duplicate bound
+        "K=4\nlabel=a\nlabel=b\n1=1\n",  # duplicate label
     ],
 )
 def test_from_text_rejects_malformed(text):
     with pytest.raises(ValueError):
         MobiusSpec.from_text(text)
+
+
+@pytest.mark.parametrize("label", ["x\n2=7", "x\r\n2=7", "a\x1cb", "a\u2028b", " pad ",
+                                   "pad\t", "\n", None])
+def test_label_that_would_not_round_trip_is_refused(label):
+    # "x\n2=7" would be read back as a label "x" and an extra entry 2=7.
+    with pytest.raises(ValueError, match="label"):
+        MobiusSpec(3, {1: 1}, label=label)
+
+
+def test_text_round_trips_every_spec_that_constructs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    entries = st.integers(1, 10**12).flatmap(lambda bound: st.tuples(
+        st.just(bound),
+        st.dictionaries(st.integers(1, bound), st.integers(-10**20, 10**20), max_size=6)))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(entries, st.text(max_size=12))
+    def round_trips(entries, label):
+        try:
+            spec = MobiusSpec(*entries, label=label)
+        except ValueError:  # a label that is not one stripped line
+            hypothesis.reject()
+        assert MobiusSpec.from_text(spec.to_text()) == spec
+
+    round_trips()

@@ -1,0 +1,66 @@
+#!/usr/bin/env bash
+# The checks that run after the tier-1 tests and the benchmark self-test:
+# time limits, peak-RSS limits and output digests of the CLI on large inputs.
+# Run from anywhere with the interpreter under test first on PATH as
+# `python`:  bash tools/ci_checks.sh
+set -euo pipefail
+cd "$(dirname "$0")/.."
+export PYTHONPATH=src
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+step() { printf '\n== %s\n' "$1"; }
+
+step "Sparse expand over a support of 3,000,000"
+printf 'K=3000000\n1=1\n' > "$work/big.spec"
+python -c '
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "crsums.cli", "expand", sys.argv[1], "7", "--s", "2",
+                "--json", "--out", sys.argv[2]], check=True, timeout=120)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"expand peak RSS {peak:.0f} MiB (limit 64)")
+sys.exit(peak > 64)' "$work/big.spec" "$work/big.json"
+(cd "$work" && echo "0a234f2d8c9704421b076a6fdcd4c6d56ab1912ea7b45fe2509c66cf6d98fe20  big.json" | sha256sum -c)
+
+step "An expand report past 10^8 coefficients is refused up front"
+printf 'K=1000000000000\n1=1\n' > "$work/huge.spec"
+code=0; timeout 10 python -m crsums.cli expand "$work/huge.spec" 7 || code=$?
+test "$code" = 2
+
+step "Rearrangement check over a support of 3,000,000 reads omega at its entries only"
+# 2,552,550 = 5·510,510 is a multiple of 7, so gcd(k, n) > 1 there, and
+# 2,999,999 is an entry at the top of the support.
+timeout 60 python -c 'import sys; from crsums.expansions import MobiusSpec, rearrangement_check; sys.exit(rearrangement_check(MobiusSpec(3_000_000, {1: 1, 2_552_550: -2, 2_999_999: 3}), 7, 2) is not True)'
+
+step "Closed forms at k = 10**9+7 answer from the factorization of k"
+timeout 10 python -m crsums.cli grytczuk 1000000007 5 --s 2
+timeout 10 python -m crsums.cli hsum 1000000007 5 --s 2 --json
+timeout 10 python -m crsums.cli skn 1000000007 5 --s 2
+
+step "Operands near 10**18 are certified; past 3.3e24 they are refused"
+timeout 10 python -m crsums.cli mobius 1000000000000000003
+timeout 10 python -m crsums.cli jordan 1000000000000000003 --json
+code=0; timeout 10 python -m crsums.cli mobius 1000000000000000000000000000057 || code=$?
+test "$code" = 2
+
+step "A literal sum past 10^6 terms is refused whatever the environment says"
+code=0; CRSUM_MAX_DIRECT=10000000000000 timeout 10 python -m crsums.cli crsum 1000003 1 --s 2 --method direct || code=$?
+test "$code" = 2
+
+step "Literal sums of 10^6 terms are exact and stream in O(sqrt(q^s)) memory"
+# With full tables of 10^6 powers and of the admissible h, these peaked at
+# 93 MiB on CPython 3.11.7; the streamed sums peak near 17 MiB.
+python -c '
+import resource, subprocess, sys
+for argv, want in ((["1000", "7"], "0"), (["997", "3"], "-1")):
+    out = subprocess.run(["timeout", "10", sys.executable, "-m", "crsums.cli", "crsum", *argv,
+                          "--s", "2", "--method", "direct"],
+                         check=True, capture_output=True, text=True).stdout.strip()
+    print("crsum", *argv, "--s 2 --method direct ->", out)
+    if out != want:
+        sys.exit(f"expected {want}")
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"direct sum peak RSS {peak:.1f} MiB (limit 24)")
+sys.exit(peak > 24)'
+
+printf '\nall checks passed\n'
