@@ -21,7 +21,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+from types import MappingProxyType
 
 from .arith import _require_positive, divisors, omega
 from .crsum import _multiplicative_value
@@ -33,9 +35,12 @@ class MobiusSpec:
     """An arithmetical function given by its Möbius transform on 1..K.
 
     ``values`` holds the nonzero f'(k) entries as ints; keys must be ints in
-    1..K and missing keys are 0.  ``label`` is one line of text without
-    outer whitespace, so that ``from_text(to_text())`` gives the spec back.
-    Instances are immutable value objects.
+    1..K and missing keys are 0.  It is a read-only view of a private copy
+    of the mapping passed in.  ``label`` is one line of text without outer
+    whitespace, so that ``from_text(to_text())`` gives the spec back.
+    Instances are immutable, hashable value objects: equal specs hash
+    equal, so one spec read back from text finds the cached ``Expansion``
+    of the other.
     """
 
     support_bound: int
@@ -57,7 +62,15 @@ class MobiusSpec:
                 raise ValueError(f"entry {k}={v!r} is not an integer")
             if v != 0:
                 cleaned[k] = v
-        object.__setattr__(self, "values", cleaned)
+        object.__setattr__(self, "values", MappingProxyType(cleaned))
+        key = (self.support_bound, frozenset(cleaned.items()), label)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.support_bound, dict(self.values), self.label)
 
     @classmethod
     def from_text(cls, text: str) -> "MobiusSpec":
@@ -164,8 +177,13 @@ class Expansion:
     support), ``weights`` maps each support entry k to w_k = f'(k)·L/k**s,
     and ``numerators`` maps each q that divides some support entry, in
     increasing order, to A_q = Σ_{q|k} w_k, so that a_q = A_q/L and a_q = 0
-    for every other q.  Building it costs Σ d(k) over the support,
-    independent of K and n.
+    for every other q.  ``abs_sums`` maps the same q to B_q = Σ_{q|k} |w_k|,
+    and ``coefficients`` maps the q with A_q != 0 to a_q as a ``Fraction``.
+    Building it costs Σ d(k) over the support, independent of K and n.
+
+    Everything here depends on (f, s) alone.  The functions below read one
+    instance per (f, s), built once and cached, for every n; they hand out
+    none of its dicts.
     """
 
     def __init__(self, spec: MobiusSpec, s: int) -> None:
@@ -173,21 +191,32 @@ class Expansion:
         self.denominator = lcm(*(k**s for k in spec.values))
         self.weights = {k: fp * (self.denominator // k**s) for k, fp in spec.values.items()}
         numerators: dict[int, int] = {}
+        abs_sums: dict[int, int] = {}
         for k, w in self.weights.items():
             for q in divisors(k):
                 numerators[q] = numerators.get(q, 0) + w
+                abs_sums[q] = abs_sums.get(q, 0) + abs(w)
         self.numerators = dict(sorted(numerators.items()))
+        self.abs_sums = {q: abs_sums[q] for q in self.numerators}
+        self.coefficients = {q: Fraction(a, self.denominator)
+                             for q, a in self.numerators.items() if a}
+        total = sum(2 ** omega(k) * abs(w) for k, w in self.weights.items())
+        self._condition_sum = Fraction(total, self.denominator)
 
     def condition_sum(self) -> Fraction:
-        total = sum(2 ** omega(k) * abs(w) for k, w in self.weights.items())
-        return Fraction(total, self.denominator)
+        return self._condition_sum
+
+
+@lru_cache(maxsize=1)
+def _expansion(spec: MobiusSpec, s: int) -> Expansion:
+    """The shared ``Expansion`` of (spec, s); callers check s first."""
+    return Expansion(spec, s)
 
 
 def coefficient(spec: MobiusSpec, q: int, s: int) -> Fraction:
     """a_q = Σ_{m·q <= K} f'(m·q)/(m·q)**s, an exact rational."""
-    _require_positive(q=q)
-    expansion = Expansion(spec, s)
-    return Fraction(expansion.numerators.get(q, 0), expansion.denominator)
+    _require_positive(q=q, s=s)
+    return _expansion(spec, s).coefficients.get(q, _ZERO)
 
 
 def delange_condition_sum(spec: MobiusSpec, s: int) -> Fraction:
@@ -196,7 +225,8 @@ def delange_condition_sum(spec: MobiusSpec, s: int) -> Fraction:
     Finite support makes the convergence hypothesis hold automatically;
     the value is reported so different specs can be compared.
     """
-    return Expansion(spec, s).condition_sum()
+    _require_positive(s=s)
+    return _expansion(spec, s).condition_sum()
 
 
 def partial_expansion(
@@ -212,17 +242,15 @@ def partial_expansion(
         q_max = spec.support_bound
     _require_positive(q_max=q_max)
     ns = n**s
-    expansion = Expansion(spec, s)
-    denominator = expansion.denominator
-    nonzero = {}
+    expansion = _expansion(spec, s)
     partial = 0
     for q, a in expansion.numerators.items():
         if q > q_max:
             break
         if a:
-            nonzero[q] = Fraction(a, denominator)
             partial += a * _multiplicative_value(q, ns, s)
-    partial_sum = Fraction(partial, denominator)
+    nonzero = {q: a for q, a in expansion.coefficients.items() if q <= q_max}
+    partial_sum = Fraction(partial, expansion.denominator)
     target = Fraction(f_from_spec(spec, n))
     return ExpansionReport(
         s=s,
@@ -240,7 +268,9 @@ def rearrangement_check(spec: MobiusSpec, n: int, s: int) -> bool:
     """Verify the absolute-series rearrangement three ways, exactly.
 
     The double sum Σ_q Σ_m |f'(mq)|/(mq)**s · |c_q^(s)(n**s)| is computed by
-    literal enumeration of the pairs (q, k = m·q) over the support, then
+    literal enumeration of the pairs (q, k = m·q) over the support, as
+    Σ_q |c_q^(s)(n**s)|·B_q with the B_q of ``Expansion``: the pairs are
+    enumerated k-major through divisors(k) once per (f, s).  It is then
     regrouped along k through the divisor absolute sum, then once more
     through its closed form 2**ω(k/g)·g**s; all three are integers over
     the common denominator of ``Expansion``.  True iff the three coincide
@@ -259,14 +289,12 @@ def rearrangement_check(spec: MobiusSpec, n: int, s: int) -> bool:
     """
     _require_positive(n=n, s=s)
     ns = n**s
-    expansion = Expansion(spec, s)
+    expansion = _expansion(spec, s)
     weights = {k: abs(w) for k, w in expansion.weights.items()}
 
     double_sum = 0
-    for q in expansion.numerators:
-        cq = abs(_multiplicative_value(q, ns, s))
-        if cq:
-            double_sum += cq * sum(w for k, w in weights.items() if k % q == 0)
+    for q, b in expansion.abs_sums.items():
+        double_sum += abs(_multiplicative_value(q, ns, s)) * b
 
     grouped = sum(w * divisor_abs_sum(k, ns, s) for k, w in weights.items())
     closed = 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -82,6 +84,27 @@ def test_spec_validation():
 def test_spec_drops_zero_entries_and_reads_zero_off_support():
     spec = MobiusSpec(5, {1: 1, 2: 0, 3: -2})
     assert spec.values == {1: 1, 3: -2}
+
+
+def test_spec_values_are_read_only():
+    given = {1: 1, 3: -2}
+    spec = MobiusSpec(6, given)
+    with pytest.raises(TypeError):
+        spec.values[5] = 2
+    with pytest.raises(TypeError):
+        del spec.values[1]
+    given[5] = 7  # the spec keeps its own copy
+    assert spec.values == {1: 1, 3: -2}
+    assert spec.to_text() == "K=6\nlabel=\n1=1\n3=-2\n"
+
+
+def test_equal_specs_hash_equal():
+    spec = MobiusSpec(6, {1: 1, 3: -2, 6: 5}, label="x")
+    same = MobiusSpec(6, {6: 5, 3: -2, 1: 1, 2: 0}, label="x")
+    assert same == spec and hash(same) == hash(spec)
+    assert len({spec, same, MobiusSpec(6, {1: 1}), MobiusSpec(7, spec.values, "x")}) == 3
+    for copied in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert copied == spec and hash(copied) == hash(spec)
 
 
 # ---------------------------------------------------------------- f and a_q
@@ -431,6 +454,83 @@ def test_text_round_trips_every_spec_that_constructs():
             spec = MobiusSpec(*entries, label=label)
         except ValueError:  # a label that is not one stripped line
             hypothesis.reject()
-        assert MobiusSpec.from_text(spec.to_text()) == spec
+        parsed = MobiusSpec.from_text(spec.to_text())
+        assert parsed == spec
+        assert hash(parsed) == hash(spec)
 
     round_trips()
+
+
+# ---------------------------------------------------------------- shared Expansion
+
+
+def test_dense_loop_builds_each_expansion_once(monkeypatch):
+    built = []
+
+    def counting(spec, s):
+        built.append((spec, s))
+        return Expansion(spec, s)
+
+    monkeypatch.setattr(expansions, "Expansion", counting)
+    specs = random_specs(4, seed=88)
+    for spec in specs:
+        reread = MobiusSpec.from_text(spec.to_text())
+        for s in (1, 2, 3):
+            for n in range(1, 51):  # the loop of acceptance criteria 7 and 8
+                first, second = (spec, reread) if n % 2 else (reread, spec)
+                assert partial_expansion(first, n, s).residual == 0
+                assert rearrangement_check(second, n, s)
+            assert coefficient(reread, 1, s) == reference_coefficient(spec, 1, s)
+            assert delange_condition_sum(spec, s) == reference_condition_sum(spec, s)
+    assert built == [(spec, s) for spec in specs for s in (1, 2, 3)]
+
+
+def test_interleaved_calls_read_the_expansion_of_their_own_spec():
+    rng = random.Random(4242)
+    dense = random_specs(4, seed=61, max_bound=20)
+    # equal values under another bound or label are other specs
+    specs = dense + sparse_specs(2, seed=62, max_bound=60) + [
+        MobiusSpec(dense[0].support_bound + 3, dense[0].values, dense[0].label),
+        MobiusSpec(dense[1].support_bound, dense[1].values, "relabelled"),
+    ]
+    calls = [(spec, s, n) for spec in specs for s in (1, 2, 3) for n in (1, 2, 6, 12, 30)]
+    rng.shuffle(calls)
+    for spec, s, n in calls:
+        report = partial_expansion(spec, n, s)
+        bound = spec.support_bound
+        assert report.coefficients == {q: reference_coefficient(spec, q, s)
+                                       for q in range(1, bound + 1)}
+        assert report.partial_sum == report.target == f_from_spec(spec, n)
+        assert report.condition_sum == reference_condition_sum(spec, s)
+        assert rearrangement_check(spec, n, s)
+        q = rng.randint(1, bound)
+        assert coefficient(spec, q, s) == reference_coefficient(spec, q, s)
+        assert delange_condition_sum(spec, s) == reference_condition_sum(spec, s)
+
+
+def test_a_report_hands_out_no_cached_dict():
+    spec = MobiusSpec(12, {2: 3, 6: -1, 12: 2})
+    for q_max in (None, 6):
+        first = partial_expansion(spec, 4, 2, q_max)
+        expected = dict(first.coefficients)
+        first.coefficients.nonzero[1] = Fraction(99)
+        first.coefficients.nonzero.pop(2)
+        second = partial_expansion(spec, 5, 2, q_max)
+        assert dict(second.coefficients) == expected
+        assert coefficient(spec, 2, 2) == expected[2]
+
+
+def test_a_cached_expansion_never_answers_a_refused_s():
+    # 2.0, True and Fraction(2) hash and compare like the cached s they equal
+    spec = MobiusSpec(6, {1: 1, 2: -3, 6: 2})
+    calls = [
+        lambda s: coefficient(spec, 2, s),
+        lambda s: delange_condition_sum(spec, s),
+        lambda s: partial_expansion(spec, 4, s),
+        lambda s: rearrangement_check(spec, 4, s),
+    ]
+    for call in calls:
+        for good, bad in ((2, 2.0), (1, True), (2, Fraction(2))):
+            call(good)
+            with pytest.raises(ValueError, match="s must be a positive integer"):
+                call(bad)
