@@ -14,6 +14,8 @@ from itertools import count
 from math import gcd
 
 _TRIAL_LIMIT = 1000
+# The trial divisors: 2, 3, then every 6j ± 1 up to a few past _TRIAL_LIMIT.
+_WHEEL = (2, 3, *(p for p in range(5, _TRIAL_LIMIT + 6, 2) if p % 3))
 # Miller-Rabin to these 13 bases is exact below ψ13 (Sorenson-Webster 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI13 = 3_317_044_064_679_887_385_961_981
@@ -42,22 +44,13 @@ def factorize(n: int, /) -> tuple[tuple[int, int], ...]:
     _require_positive(n=n)
     pairs: list[tuple[int, int]] = []
     m = n
-    for p in (2, 3):
+    for p in _WHEEL:  # always breaks: the last candidate is past _TRIAL_LIMIT
+        if p * p > m or p > _TRIAL_LIMIT:
+            break
         if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
+            e = _exponent_of(p, m)
+            m //= p**e
             pairs.append((p, e))
-    p = 5
-    while p * p <= m and p <= _TRIAL_LIMIT:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            pairs.append((p, e))
-        p += 2 if p % 6 == 5 else 4
     if m >= p * p:  # m has no factor below p: split it into prime pieces
         primes, rest = [], [m]
         while rest:

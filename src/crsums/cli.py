@@ -27,9 +27,9 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
-from typing import Callable, TextIO
+from typing import Callable, Iterator, TextIO
 
 from .arith import generalized_gcd, jordan_totient, mobius
 from .crsum import (
@@ -143,6 +143,10 @@ CHECKS: dict[str, Callable[[int, int, int], tuple[bool, str, str]]] = {
 }
 
 
+# The most (cell, check) rows a sweep may run: about 2 minutes at 7·10^4 rows/s.
+_MAX_SWEEP_ROWS = 10**7
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     """Inclusive k/n ranges, the s values to visit, and the checks to run."""
@@ -153,53 +157,36 @@ class SweepGrid:
     checks: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        rows = len(self.s_values) * len(self.checks)
         for name, (lo, hi) in (("k", self.k_range), ("n", self.n_range)):
             if lo < 1 or hi < lo:
                 raise ValueError(f"empty or invalid {name} range {lo}..{hi}")
+            rows *= hi - lo + 1
         if not self.s_values or any(s < 1 for s in self.s_values):
             raise ValueError("s values must be a non-empty list of positive integers")
         unknown = [c for c in self.checks if c not in CHECKS]
         if unknown or not self.checks:
             raise ValueError(f"unknown checks: {unknown}" if unknown else "no checks")
-
-    def cells(self):
-        for s in self.s_values:
-            for k in range(self.k_range[0], self.k_range[1] + 1):
-                for n in range(self.n_range[0], self.n_range[1] + 1):
-                    yield k, n, s
+        if rows > _MAX_SWEEP_ROWS:
+            raise ValueError(f"the grid has {rows} rows, over the limit of {_MAX_SWEEP_ROWS}")
 
 
-@dataclass
-class SweepResult:
-    grid: SweepGrid
-    cells_total: int = 0
-    cells_passed: int = 0
-    failures: list[tuple[int, int, int, str, str, str]] = field(default_factory=list)
+def run_sweep(grid: SweepGrid) -> Iterator[tuple[int, int, int, str, str, str, bool]]:
+    """Yield one (k, n, s, check, expected, actual, passed) row per cell and check.
 
-
-def run_sweep(grid: SweepGrid,
-              on_row: Callable[..., object] = lambda *row: None) -> SweepResult:
-    """Run the grid's checks on every cell.
-
-    Each (k, n, s, check, expected, actual, passed) row goes to ``on_row``
-    and is not kept; the result holds only the counts and the failures.
+    Each row is yielded as its check runs and is not kept.  The rows come
+    in the order of s, then k, then n, then the grid's checks.
     """
-    result = SweepResult(grid)
     _cell_abs_sum.cache_clear()
     try:
-        for k, n, s in grid.cells():
-            for name in grid.checks:
-                ok, expected, actual = CHECKS[name](k, n, s)
-                result.cells_total += 1
-                result.cells_passed += ok
-                on_row(k, n, s, name, expected, actual, ok)
-                if not ok:
-                    result.failures.append((k, n, s, name, expected, actual))
+        for s in grid.s_values:
+            for k in range(grid.k_range[0], grid.k_range[1] + 1):
+                for n in range(grid.n_range[0], grid.n_range[1] + 1):
+                    for name in grid.checks:
+                        passed, expected, actual = CHECKS[name](k, n, s)
+                        yield k, n, s, name, expected, actual, passed
     finally:
         _cell_abs_sum.cache_clear()
-    # deterministic regardless of evaluation schedule
-    result.failures.sort(key=lambda f: (f[0], f[1], f[2], f[3]))
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -281,23 +268,27 @@ def _cmd_sweep(args: argparse.Namespace, sink: TextIO) -> int:
     if args.format == "csv":
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(["k", "n", "s", "check", "expected", "actual", "pass"])
-        result = run_sweep(grid, lambda *row: writer.writerow(
-            [*row[:6], "true" if row[6] else "false"]))
-    else:
-        result = run_sweep(grid)
+    total, failures = 0, []
+    for *row, passed in run_sweep(grid):
+        total += 1
+        if args.format == "csv":
+            writer.writerow([*row, "true" if passed else "false"])
+        if not passed:
+            failures.append(row)
+    if args.format == "json":
         print(_dumps({
             "grid": asdict(grid),
-            "cells_total": result.cells_total,
-            "cells_passed": result.cells_passed,
-            "failures": [
+            "cells_total": total,
+            "cells_passed": total - len(failures),
+            "failures": [  # (k, n, s, check) order, which no two rows share
                 {"k": k, "n": n, "s": s, "check": c, "expected": e, "actual": a}
-                for k, n, s, c, e, a in result.failures
+                for k, n, s, c, e, a in sorted(failures)
             ],
         }), file=sink)
     if args.out:
-        print(f"{result.cells_passed}/{result.cells_total} checks passed; "
-              f"{len(result.failures)} failures; report written to {args.out}")
-    return 0 if not result.failures else 4
+        print(f"{total - len(failures)}/{total} checks passed; "
+              f"{len(failures)} failures; report written to {args.out}")
+    return 0 if not failures else 4
 
 
 # The most coefficients an expand report may hold: about 1.5 GB of JSON.

@@ -290,19 +290,18 @@ def rearrangement_check(spec: MobiusSpec, n: int, s: int) -> bool:
     _require_positive(n=n, s=s)
     ns = n**s
     expansion = _expansion(spec, s)
-    weights = {k: abs(w) for k, w in expansion.weights.items()}
 
     double_sum = 0
     for q, b in expansion.abs_sums.items():
         double_sum += abs(_multiplicative_value(q, ns, s)) * b
 
-    grouped = sum(w * divisor_abs_sum(k, ns, s) for k, w in weights.items())
-    closed = 0
-    for k, w in weights.items():
+    grouped = closed = 0
+    for k, w in expansion.weights.items():
         g = gcd(k, n)
         term = g**s << omega(k // g)
         if term < 1 << omega(k):  # termwise lower bound
             return False
-        closed += w * term
+        grouped += abs(w) * divisor_abs_sum(k, ns, s)
+        closed += abs(w) * term
 
     return double_sum == grouped == closed

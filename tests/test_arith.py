@@ -64,7 +64,8 @@ def test_factorize_rejects_zero():
 
 
 def test_factorize_reconstructs_product_and_is_sorted():
-    for n in range(1, 10_001):
+    primes = set(sieve(100_001))
+    for n in range(1, 100_001):
         pairs = factorize(n)
         product = 1
         for p, e in pairs:
@@ -72,7 +73,7 @@ def test_factorize_reconstructs_product_and_is_sorted():
             product *= p**e
         assert product == n
         assert list(pairs) == sorted(pairs)
-        assert all(trial_division_smallest_factor(p) == p for p, _ in pairs)
+        assert all(p in primes for p, _ in pairs)
 
 
 # ------------------------------------------ factorize past trial division
@@ -120,6 +121,13 @@ def test_factorize_products_of_known_primes():
     (1000003**5, ((1000003, 5),)),
     (1009**9, ((1009, 9),)),
     (2**100, ((2, 100),)),
+    # around the trial limit: 997 is the last prime it tries, 1009 the first past it
+    (991 * 997, ((991, 1), (997, 1))),
+    (997**2, ((997, 2),)),
+    (1009**2, ((1009, 2),)),
+    (997 * 1009, ((997, 1), (1009, 1))),
+    (2**3 * 997 * 1009, ((2, 3), (997, 1), (1009, 1))),
+    (3**40 * 1009, ((3, 40), (1009, 1))),
     ((10**12 + 39) * (10**12 + 61), ((10**12 + 39, 1), (10**12 + 61, 1))),
 ], ids=str)
 def test_factorize_splits_hard_composites(n, pairs):

@@ -154,7 +154,7 @@ def test_main_gives_the_full_parsers_output_on_an_argv_grid(capsys, monkeypatch,
     # computed, so the grid runs in about 2 s.
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "run_sweep", lambda grid, on_row=None: cli.SweepResult(grid))
+    monkeypatch.setattr(cli, "run_sweep", lambda grid: iter(()))
     full = build_parser(None)
     builders = (functools.cache(build_parser), lambda command=None: full)
     grid = [argv for length in range(4) for argv in itertools.product(ARGV_TOKENS, repeat=length)
@@ -197,12 +197,31 @@ def test_sweep_grid_validation():
         SweepGrid((1, 5), (1, 5), (1,), ("not-a-check",))
 
 
+def test_sweep_grid_row_limit():
+    # rows = cells × checks: 10**7 rows are allowed, one more n is not
+    SweepGrid((1, 1000), (1, 2000), (1, 2, 3, 4, 5), ("orthogonality",))
+    with pytest.raises(ValueError, match="10005000 rows, over the limit of 10000000"):
+        SweepGrid((1, 1000), (1, 2001), (1, 2, 3, 4, 5), ("orthogonality",))
+    with pytest.raises(ValueError, match="10000002 rows"):
+        SweepGrid((1, 1), (1, 1666667), (1,), tuple(sorted(CHECKS)))
+
+
+def test_sweep_past_the_row_limit_exits_2_at_once(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_sweep", lambda grid: pytest.fail("the grid ran"))
+    report = tmp_path / "sweep.csv"
+    code = main(["sweep", "--k-max", "1000000", "--n-max", "1000000", "--format", "csv",
+                 "--out", str(report)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, report.read_text()) == (2, "", "")
+    assert captured.err == ("error: the grid has 18000000000000 rows, over the limit of "
+                            "10000000\n")
+
+
 def test_run_sweep_counts():
     grid = SweepGrid((1, 10), (1, 10), (1, 2), tuple(sorted(CHECKS)))
-    result = run_sweep(grid)
-    assert result.cells_total == 10 * 10 * 2 * len(CHECKS)
-    assert result.cells_passed == result.cells_total
-    assert result.failures == []
+    rows = list(run_sweep(grid))
+    assert len(rows) == 10 * 10 * 2 * len(CHECKS)
+    assert all(row[-1] for row in rows)
 
 
 def test_run_sweep_computes_divisor_abs_sum_once_per_cell_triple(monkeypatch):
@@ -214,7 +233,7 @@ def test_run_sweep_computes_divisor_abs_sum_once_per_cell_triple(monkeypatch):
 
     monkeypatch.setattr(cli, "divisor_abs_sum", counted)
     checks = ("delange-bound", "equality-case", "grytczuk-equality")
-    assert run_sweep(SweepGrid((1, 4), (1, 4), (1, 2), checks)).failures == []
+    assert all(row[-1] for row in run_sweep(SweepGrid((1, 4), (1, 4), (1, 2), checks)))
     # A cell needs (k, n, s) and (k, n**s, s); they coincide when s = 1 or n = 1.
     assert len(calls) == 16 + 4 + 12 * 2
     assert cli._cell_abs_sum.cache_info().currsize == 0

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 
+import pytest
+
 from crsums import arith
-from crsums.crsum import CrsQuery, crs_multiplicative
+from crsums.crsum import CrsQuery, crs_hoelder, crs_mobius, crs_multiplicative
 from crsums.identities import (
     delange_bound,
     divisor_abs_sum,
@@ -15,7 +17,7 @@ from crsums.identities import (
     s_kn_closed_form,
     s_kn_mobius,
 )
-from crsums.arith import divisors, omega, radical
+from crsums.arith import divisors, jordan_totient, mobius, omega, radical
 
 
 # ---------------------------------------------------------------- examples
@@ -167,3 +169,77 @@ def test_h_value_is_a_divisor_count_weighted_sum():
             abs(crs_multiplicative(CrsQuery(q, n, s)).value) for q in divisors(k)
         )
         assert divisor_abs_sum(k, n, s) == literal
+
+
+# ------------------------------------------------- far outside the grids
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+FAR = 10**18
+
+
+def check_far_cells(check, max_examples: int = 300) -> None:
+    """Run check(k, n, s) on derandomized draws far outside the sweep grids.
+
+    k is a product of one to four small prime powers, at most 10**18; n is
+    at most 10**18, and is drawn uniformly, as such a product, or as a
+    multiple of k; s is 1..8.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def smooth(draw):
+        value = 1
+        for p, e in draw(st.lists(st.tuples(st.sampled_from(SMALL_PRIMES), st.integers(1, 60)),
+                                  min_size=1, max_size=4)):
+            while value * p**e > FAR:
+                e -= 1
+            value *= p**e
+        return value
+
+    @st.composite
+    def cells(draw):
+        k = draw(smooth())
+        n = draw(st.one_of(st.integers(1, FAR), smooth(),
+                           st.integers(1, FAR // k).map(lambda m: k * m)))
+        return k, n, draw(st.integers(1, 8))
+
+    @hypothesis.settings(max_examples=max_examples, deadline=None, derandomize=True)
+    @hypothesis.given(cells())
+    def run(cell):
+        check(*cell)
+
+    run()
+
+
+def test_divisor_sum_identities_far_outside_the_grids():
+    def check(k, n, s):
+        assert divisor_abs_sum(k, n, s) == grytczuk_value(k, n, s) <= delange_bound(k, n)
+        assert orthogonality_sum(k, n, s) == (k**s if n % k == 0 else 0)
+        abs_crs = abs(crs_multiplicative(CrsQuery(k, n, s)).value)
+        assert s_kn_mobius(k, n, s) == s_kn_closed_form(k, n, s) == abs_crs
+
+    check_far_cells(check)
+
+
+def test_evaluators_agree_far_outside_the_grids():
+    def check(k, n, s):
+        query = CrsQuery(k, n, s)
+        assert (crs_hoelder(query).value == crs_mobius(query).value
+                == crs_multiplicative(query).value)
+
+    check_far_cells(check)
+
+
+def test_multiplicative_functions_match_sympy_far_outside_the_grids():
+    sympy = pytest.importorskip("sympy")
+
+    def check(k, n, s):
+        for m in (k, n):
+            primes = sympy.primefactors(m)
+            assert mobius(m) == sympy.mobius(m)
+            assert radical(m) == math.prod(primes)
+            assert jordan_totient(s, m) == sympy.Integer(m) ** s * sympy.prod(
+                [1 - sympy.Rational(1, p**s) for p in primes])
+
+    check_far_cells(check)

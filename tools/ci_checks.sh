@@ -27,6 +27,13 @@ printf 'K=1000000000000\n1=1\n' > "$work/huge.spec"
 code=0; timeout 10 python -m crsums.cli expand "$work/huge.spec" 7 || code=$?
 test "$code" = 2
 
+step "A sweep past the row limit is refused up front"
+# 10^6 x 10^6 cells x 3 values of s x 6 checks, against a limit of 10^7 rows
+code=0; timeout 10 python -m crsums.cli sweep --k-max 1000000 --n-max 1000000 --format csv \
+    --out "$work/huge.csv" || code=$?
+test "$code" = 2
+test -f "$work/huge.csv" && test ! -s "$work/huge.csv"
+
 step "Rearrangement check over a support of 3,000,000 reads omega at its entries only"
 # 2,552,550 = 5·510,510 is a multiple of 7, so gcd(k, n) > 1 there, and
 # 2,999,999 is an entry at the top of the support.
