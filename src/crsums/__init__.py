@@ -9,8 +9,8 @@ from .crsum import (
     crs, crs_direct, crs_hoelder, crs_mobius, crs_multiplicative, cross_check,
 )
 from .expansions import (
-    Expansion, ExpansionReport, MobiusSpec, coefficient, delange_condition_sum,
-    f_from_spec, partial_expansion, rearrangement_check,
+    Expansion, ExpansionReport, MobiusSpec, f_from_spec, partial_expansion,
+    rearrangement_check,
 )
 from .identities import (
     delange_bound, divisor_abs_sum, equality_case_holds, grytczuk_value,
@@ -28,7 +28,6 @@ __all__ = [
     "Expansion",
     "ExpansionReport",
     "MobiusSpec",
-    "coefficient",
     "crs",
     "crs_direct",
     "crs_hoelder",
@@ -36,7 +35,6 @@ __all__ = [
     "crs_multiplicative",
     "cross_check",
     "delange_bound",
-    "delange_condition_sum",
     "divisor_abs_sum",
     "divisors",
     "equality_case_holds",

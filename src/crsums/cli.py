@@ -15,8 +15,10 @@ Exit codes are stable: 0 success, 2 usage/parse/precondition failure, an
 operand that cannot be factored with certainty or a path that cannot be read or
 written, 3 cross-method disagreement, 4 sweep with failures.  Rationals
 serialize as "num/den" strings in lowest terms (bare "num" when the
-denominator is 1); integers that can exceed 2**53 are emitted as decimal
-strings so JSON consumers never see a lossy float.
+denominator is 1).  A computed integer, "value" or a scalar's --json extra,
+is a decimal string past 2**53 and a number otherwise.  Every other integer
+is a JSON number at any size: the operands and --s, the sweep's grid,
+counts and failure cells, and expand's support_bound, n, s and q_max.
 """
 
 from __future__ import annotations
@@ -303,41 +305,46 @@ def _cmd_expand(args: argparse.Namespace, sink: TextIO) -> int:
         raise ValueError(f"the report would hold {q_max} coefficients, more than the "
                          f"limit of {_MAX_REPORT_ENTRIES}")
     report = partial_expansion(spec, args.n, args.s, q_max)
-    # The same bytes as one _dumps of the whole report, written in pieces.
-    sink.write(_dumps({
+    # The same bytes as one _dumps of the whole report, written in pieces.  All
+    # but the runs of "0" become text before the first write, so a number too
+    # long to print (ValueError, exit 2) leaves the sink empty.
+    head = _dumps({
         "label": spec.label,
         "support_bound": spec.support_bound,
         "n": report.n,
         "s": report.s,
         "q_max": report.q_max,
-    })[:-1] + ',"coefficients":{')
-    _write_coefficients(sink, report.coefficients.nonzero, report.q_max)
-    sink.write("}," + _dumps({
+    })[:-1] + ',"coefficients":{'
+    members = {q: f'"{q}":"{a}"' for q, a in report.coefficients.nonzero.items()}
+    tail = "}," + _dumps({
         "partial_sum": report.partial_sum,
         "target": report.target,
         "residual": report.residual,
         "condition_sum": report.condition_sum,
-    })[1:] + "\n")
+    })[1:] + "\n"
+    sink.write(head)
+    _write_coefficients(sink, members, report.q_max)
+    sink.write(tail)
     return 0
 
 
 _ZERO_RUN = 1 << 14  # keys per write in a run of zero coefficients
 
 
-def _write_coefficients(sink: TextIO, nonzero: dict, q_max: int) -> None:
+def _write_coefficients(sink: TextIO, members: dict[int, str], q_max: int) -> None:
     """Write the members "q":"a_q" for q in 1..q_max, as _dumps would.
 
-    ``nonzero`` holds the non-zero a_q in increasing q; the runs of "0"
-    between them are written _ZERO_RUN keys at a time, so memory stays
-    bounded whatever q_max is.
+    ``members`` maps each q with a non-zero a_q, in increasing q, to its
+    member text; the runs of "0" between them are written _ZERO_RUN keys at
+    a time, so memory stays bounded whatever q_max is.
     """
     start = 1
-    for q, a in [*nonzero.items(), (q_max + 1, None)]:
+    for q, member in [*members.items(), (q_max + 1, None)]:
         for lo in range(start, q, _ZERO_RUN):
             keys = map(str, range(lo, min(lo + _ZERO_RUN, q)))
             sink.write(("," if lo > 1 else "") + '"' + '":"0","'.join(keys) + '":"0"')
-        if a is not None:
-            sink.write(f'{"," if q > 1 else ""}"{q}":"{a}"')
+        if member is not None:
+            sink.write(("," if q > 1 else "") + member)
         start = q + 1
 
 

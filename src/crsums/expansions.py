@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 from .arith import _require_positive, divisors, omega
 from .crsum import _multiplicative_value
-from .identities import divisor_abs_sum
+from .identities import _closed_form, divisor_abs_sum
 
 
 @dataclass(frozen=True)
@@ -179,6 +179,9 @@ class Expansion:
     increasing order, to A_q = Σ_{q|k} w_k, so that a_q = A_q/L and a_q = 0
     for every other q.  ``abs_sums`` maps the same q to B_q = Σ_{q|k} |w_k|,
     and ``coefficients`` maps the q with A_q != 0 to a_q as a ``Fraction``.
+    ``condition_sum`` is Σ_{k <= K} 2**ω(k)·|f'(k)|/k**s as a ``Fraction``:
+    finite support makes the convergence hypothesis hold automatically, and
+    the value is reported so different specs can be compared.
     Building it costs Σ d(k) over the support, independent of K and n.
 
     Everything here depends on (f, s) alone.  The functions below read one
@@ -201,32 +204,13 @@ class Expansion:
         self.coefficients = {q: Fraction(a, self.denominator)
                              for q, a in self.numerators.items() if a}
         total = sum(2 ** omega(k) * abs(w) for k, w in self.weights.items())
-        self._condition_sum = Fraction(total, self.denominator)
-
-    def condition_sum(self) -> Fraction:
-        return self._condition_sum
+        self.condition_sum = Fraction(total, self.denominator)
 
 
 @lru_cache(maxsize=1)
 def _expansion(spec: MobiusSpec, s: int) -> Expansion:
     """The shared ``Expansion`` of (spec, s); callers check s first."""
     return Expansion(spec, s)
-
-
-def coefficient(spec: MobiusSpec, q: int, s: int) -> Fraction:
-    """a_q = Σ_{m·q <= K} f'(m·q)/(m·q)**s, an exact rational."""
-    _require_positive(q=q, s=s)
-    return _expansion(spec, s).coefficients.get(q, _ZERO)
-
-
-def delange_condition_sum(spec: MobiusSpec, s: int) -> Fraction:
-    """Σ_{k <= K} 2**ω(k)·|f'(k)|/k**s.
-
-    Finite support makes the convergence hypothesis hold automatically;
-    the value is reported so different specs can be compared.
-    """
-    _require_positive(s=s)
-    return _expansion(spec, s).condition_sum()
 
 
 def partial_expansion(
@@ -260,7 +244,7 @@ def partial_expansion(
         partial_sum=partial_sum,
         target=target,
         residual=partial_sum - target,
-        condition_sum=expansion.condition_sum(),
+        condition_sum=expansion.condition_sum,
     )
 
 
@@ -272,9 +256,10 @@ def rearrangement_check(spec: MobiusSpec, n: int, s: int) -> bool:
     Σ_q |c_q^(s)(n**s)|·B_q with the B_q of ``Expansion``: the pairs are
     enumerated k-major through divisors(k) once per (f, s).  It is then
     regrouped along k through the divisor absolute sum, then once more
-    through its closed form 2**ω(k/g)·g**s; all three are integers over
-    the common denominator of ``Expansion``.  True iff the three coincide
-    and every k in the support satisfies the chain
+    through its closed form 2**ω(k/g)·g**s (``identities._closed_form``);
+    all three are integers over the common denominator of ``Expansion``.
+    True iff the three coincide and every k in the support satisfies the
+    chain
 
         2**ω(k**s/(k**s, n**s)_s) · (k**s, n**s)_s >= 2**ω(k),
 
@@ -297,8 +282,7 @@ def rearrangement_check(spec: MobiusSpec, n: int, s: int) -> bool:
 
     grouped = closed = 0
     for k, w in expansion.weights.items():
-        g = gcd(k, n)
-        term = g**s << omega(k // g)
+        term = _closed_form(k, gcd(k, n), s)
         if term < 1 << omega(k):  # termwise lower bound
             return False
         grouped += abs(w) * divisor_abs_sum(k, ns, s)

@@ -45,8 +45,15 @@ def grytczuk_value(k: int, n: int, s: int) -> int:
     It is 2**ω(k/d) · d**s at d = s_adapted_gcd(k, n, s); no k**s is built.
     """
     _require_positive(k=k, n=n, s=s)
-    d = s_adapted_gcd(k, n, s)
-    return 2 ** omega(k // d) * d**s
+    return _closed_form(k, s_adapted_gcd(k, n, s), s)
+
+
+def _closed_form(k: int, d: int, s: int) -> int:
+    """2**ω(k/d)·d**s for a divisor d of k: the one spelling of Grytczuk's value.
+
+    It checks no operand; its callers have checked k and s and pass a d | k.
+    """
+    return d**s << omega(k // d)
 
 
 def equality_case_holds(m: int, k: int) -> bool:
@@ -72,9 +79,16 @@ def s_kn_mobius(k: int, n: int, s: int) -> int:
 
     The summand is the closed form of the divisor absolute sum evaluated at
     the divisor d, so by Möbius inversion S(k,n) = |c_k^(s)(n)|.
+
+    One s-adapted gcd serves every divisor: with g = s_adapted_gcd(k, n, s),
+    s_adapted_gcd(d, n, s) = gcd(d, g) for each d | k.  Both sides are
+    products over the primes p of d; on the left p has exponent
+    min(e_p(d), ⌊v_p(n)/s⌋), on the right min(e_p(d), min(e_p(k), ⌊v_p(n)/s⌋)),
+    and these agree because e_p(d) <= e_p(k).
     """
     _require_positive(k=k, n=n, s=s)
-    return sum(grytczuk_value(d, n, s) * mobius(k // d) for d in divisors(k))
+    g = s_adapted_gcd(k, n, s)
+    return sum(_closed_form(d, gcd(d, g), s) * mobius(k // d) for d in divisors(k))
 
 
 def s_kn_closed_form(k: int, n: int, s: int, *, plain_gcd: bool = False) -> int:

@@ -19,7 +19,6 @@ from crsums.crsum import CrsQuery
 from crsums.expansions import (
     Expansion,
     MobiusSpec,
-    coefficient,
     f_from_spec,
     partial_expansion,
     rearrangement_check,
@@ -75,7 +74,6 @@ CASES = [
     (MobiusSpec, (6, {1: 1}), ("support_bound", None)),
     (Expansion, (SPEC, 2), (None, "s")),
     (f_from_spec, (SPEC, 4), (None, "n")),
-    (coefficient, (SPEC, 2, 2), (None, "q", "s")),
     (partial_expansion, (SPEC, 4, 2, 6), (None, "n", "s", "q_max")),
     (rearrangement_check, (SPEC, 4, 2), (None, "n", "s")),
 ]

@@ -355,6 +355,22 @@ def test_expand_refuses_a_report_past_the_size_limit(capsys, tmp_path, monkeypat
         assert len(json.loads(out.read_text())["coefficients"]) == 5
 
 
+def test_expand_that_cannot_be_printed_writes_nothing(capsys, tmp_path):
+    # a_6 = 1/6**6000 has a denominator of 4,669 digits, past Python's limit
+    # on int-to-str conversion, so the report is refused whole.
+    spec_file = tmp_path / "f.spec"
+    spec_file.write_text("K=6\n6=1\n")
+    out = tmp_path / "x.json"
+    argv = ["expand", str(spec_file), "5", "--s", "6000", "--json"]
+    for extra in (["--out", str(out)], []):
+        code = main(argv + extra)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        # 3.10 words it "Exceeds the limit (4300) for ...", later ones "(4300 digits)"
+        assert captured.err.startswith("error: Exceeds the limit (4300")
+    assert out.exists() and out.read_text() == ""
+
+
 def test_expand_trivial_spec(capsys, tmp_path):
     spec_file = tmp_path / "one.spec"
     spec_file.write_text("K=1\n1=1\n")

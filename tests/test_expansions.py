@@ -17,13 +17,11 @@ from crsums.crsum import CrsQuery, crs_mobius
 from crsums.expansions import (
     Expansion,
     MobiusSpec,
-    coefficient,
-    delange_condition_sum,
     f_from_spec,
     partial_expansion,
     rearrangement_check,
 )
-from crsums.identities import grytczuk_value
+from crsums.identities import _closed_form, grytczuk_value
 
 
 def random_specs(count: int, seed: int, max_bound: int = 40) -> list[MobiusSpec]:
@@ -65,6 +63,16 @@ def reference_condition_sum(spec: MobiusSpec, s: int) -> Fraction:
     for k in range(1, spec.support_bound + 1):
         total += Fraction(2 ** omega(k) * abs(spec.values.get(k, 0)), k**s)
     return total
+
+
+def cached_coefficient(spec: MobiusSpec, q: int, s: int) -> Fraction:
+    """a_q as the cached ``Expansion`` of (spec, s) holds it: 0 off its keys."""
+    return expansions._expansion(spec, s).coefficients.get(q, Fraction(0))
+
+
+def cached_condition_sum(spec: MobiusSpec, s: int) -> Fraction:
+    """The condition sum of the cached ``Expansion`` of (spec, s)."""
+    return expansions._expansion(spec, s).condition_sum
 
 
 # ---------------------------------------------------------------- spec object
@@ -120,9 +128,9 @@ def test_f_from_spec_examples():
 
 def test_coefficient_examples():
     spec = MobiusSpec(2, {1: 1, 2: 1})
-    assert coefficient(spec, 1, 1) == Fraction(3, 2)
-    assert coefficient(spec, 2, 1) == Fraction(1, 2)
-    assert coefficient(spec, 3, 1) == 0
+    assert cached_coefficient(spec, 1, 1) == Fraction(3, 2)
+    assert cached_coefficient(spec, 2, 1) == Fraction(1, 2)
+    assert cached_coefficient(spec, 3, 1) == 0
 
 
 def test_expansion_numerators_match_the_reference():
@@ -140,15 +148,15 @@ def test_expansion_numerators_match_the_reference():
             for q, a in expansion.numerators.items():
                 assert Fraction(a, expansion.denominator) == reference_coefficient(spec, q, s)
             for q in rng.sample(range(1, spec.support_bound + 1), min(spec.support_bound, 20)):
-                assert coefficient(spec, q, s) == reference_coefficient(spec, q, s)
-            assert delange_condition_sum(spec, s) == reference_condition_sum(spec, s)
+                assert cached_coefficient(spec, q, s) == reference_coefficient(spec, q, s)
+            assert cached_condition_sum(spec, s) == reference_condition_sum(spec, s)
 
 
 def test_expansion_of_an_empty_support():
     expansion = Expansion(MobiusSpec(5, {3: 0}), 2)
     assert (expansion.denominator, expansion.weights, expansion.numerators) == (1, {}, {})
-    assert coefficient(MobiusSpec(5, {}), 1, 1) == 0
-    assert delange_condition_sum(MobiusSpec(5, {}), 3) == 0
+    assert cached_coefficient(MobiusSpec(5, {}), 1, 1) == 0
+    assert cached_condition_sum(MobiusSpec(5, {}), 3) == 0
 
 
 def test_coefficient_additive_in_spec_values():
@@ -160,15 +168,15 @@ def test_coefficient_additive_in_spec_values():
     merged = MobiusSpec(bound, merged_values)
     for s in (1, 2, 3):
         for q in range(1, bound + 1):
-            assert coefficient(merged, q, s) == coefficient(left, q, s) + coefficient(
-                right, q, s
-            )
+            assert cached_coefficient(merged, q, s) == cached_coefficient(
+                left, q, s
+            ) + cached_coefficient(right, q, s)
 
 
 def test_condition_sum_examples():
-    assert delange_condition_sum(MobiusSpec(1, {1: 1}), 2) == 1
-    assert delange_condition_sum(MobiusSpec(2, {1: 1, 2: 1}), 1) == 2
-    assert delange_condition_sum(MobiusSpec(6, {1: 1, 6: 1}), 1) == Fraction(5, 3)
+    assert cached_condition_sum(MobiusSpec(1, {1: 1}), 2) == 1
+    assert cached_condition_sum(MobiusSpec(2, {1: 1, 2: 1}), 1) == 2
+    assert cached_condition_sum(MobiusSpec(6, {1: 1, 6: 1}), 1) == Fraction(5, 3)
 
 
 # ---------------------------------------------------------------- expansion
@@ -257,7 +265,7 @@ def test_partial_expansion_skips_the_scan_of_a_huge_sparse_support():
     assert report.coefficients[1] == 1 + Fraction(3, 2**78)
     assert report.coefficients[64] == Fraction(3, 2**78)
     assert report.coefficients[63] == 0
-    assert coefficient(spec, 1, 2) == 1 + Fraction(3, 2**78)
+    assert cached_coefficient(spec, 1, 2) == 1 + Fraction(3, 2**78)
 
 
 # ---------------------------------------------------------------- rearrangement
@@ -284,19 +292,14 @@ def test_rearrangement_sparse_specs():
 
 
 def _shifted_at_12(original):
-    # 12 is in the support and divides no other entry, so each route shifts.
+    # 12 is in the support and divides no other entry, so each route shifts;
+    # the closed term only grows, so the chain still holds.
     return lambda k, n, s: original(k, n, s) + (k == 12)
-
-
-def _omega_3_read_as_2(original):
-    # The closed terms at 6 and 12 (g = 2, 4; k/g = 3) move, while the
-    # chain still holds: ω(3) is read on its upper side only.
-    return lambda m: 2 if m == 3 else original(m)
 
 
 @pytest.mark.parametrize("name, poison", [
     pytest.param("divisor_abs_sum", _shifted_at_12, id="divisor_abs_sum"),
-    pytest.param("omega", _omega_3_read_as_2, id="omega_closed_side"),
+    pytest.param("_closed_form", _shifted_at_12, id="omega_closed_side"),
     pytest.param("_multiplicative_value", _shifted_at_12, id="_multiplicative_value"),
 ])
 def test_rearrangement_detects_a_wrong_route(monkeypatch, name, poison):
@@ -344,7 +347,8 @@ def test_sieve_term_matches_grytczuk_value():
             ns = n**s
             for k in range(1, 2001):
                 g = gcd(k, n)
-                assert g**s << omega(k // g) == grytczuk_value(k, ns, s), (k, n, s)
+                term = _closed_form(k, g, s)
+                assert term == g**s << omega(k // g) == grytczuk_value(k, ns, s), (k, n, s)
 
 
 def test_rearrangement_chain_holds_off_any_support():
@@ -480,8 +484,8 @@ def test_dense_loop_builds_each_expansion_once(monkeypatch):
                 first, second = (spec, reread) if n % 2 else (reread, spec)
                 assert partial_expansion(first, n, s).residual == 0
                 assert rearrangement_check(second, n, s)
-            assert coefficient(reread, 1, s) == reference_coefficient(spec, 1, s)
-            assert delange_condition_sum(spec, s) == reference_condition_sum(spec, s)
+            assert cached_coefficient(reread, 1, s) == reference_coefficient(spec, 1, s)
+            assert cached_condition_sum(spec, s) == reference_condition_sum(spec, s)
     assert built == [(spec, s) for spec in specs for s in (1, 2, 3)]
 
 
@@ -504,8 +508,8 @@ def test_interleaved_calls_read_the_expansion_of_their_own_spec():
         assert report.condition_sum == reference_condition_sum(spec, s)
         assert rearrangement_check(spec, n, s)
         q = rng.randint(1, bound)
-        assert coefficient(spec, q, s) == reference_coefficient(spec, q, s)
-        assert delange_condition_sum(spec, s) == reference_condition_sum(spec, s)
+        assert cached_coefficient(spec, q, s) == reference_coefficient(spec, q, s)
+        assert cached_condition_sum(spec, s) == reference_condition_sum(spec, s)
 
 
 def test_a_report_hands_out_no_cached_dict():
@@ -517,15 +521,14 @@ def test_a_report_hands_out_no_cached_dict():
         first.coefficients.nonzero.pop(2)
         second = partial_expansion(spec, 5, 2, q_max)
         assert dict(second.coefficients) == expected
-        assert coefficient(spec, 2, 2) == expected[2]
+        assert partial_expansion(spec, 6, 2, q_max).coefficients[2] == expected[2]
 
 
 def test_a_cached_expansion_never_answers_a_refused_s():
     # 2.0, True and Fraction(2) hash and compare like the cached s they equal
     spec = MobiusSpec(6, {1: 1, 2: -3, 6: 2})
     calls = [
-        lambda s: coefficient(spec, 2, s),
-        lambda s: delange_condition_sum(spec, s),
+        lambda s: Expansion(spec, s),
         lambda s: partial_expansion(spec, 4, s),
         lambda s: rearrangement_check(spec, 4, s),
     ]

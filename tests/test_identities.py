@@ -171,6 +171,16 @@ def test_h_value_is_a_divisor_count_weighted_sum():
         assert divisor_abs_sum(k, n, s) == literal
 
 
+def test_s_adapted_gcd_of_a_divisor_is_a_gcd_with_that_of_k():
+    # s_kn_mobius walks s_adapted_gcd once, for k, and reads every d | k from it.
+    for s in range(1, 5):
+        for k in range(1, 61):
+            for n in range(1, 201):
+                g = arith.s_adapted_gcd(k, n, s)
+                for d in divisors(k):
+                    assert arith.s_adapted_gcd(d, n, s) == math.gcd(d, g), (d, k, n, s)
+
+
 # ------------------------------------------------- far outside the grids
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -218,6 +228,9 @@ def test_divisor_sum_identities_far_outside_the_grids():
         assert orthogonality_sum(k, n, s) == (k**s if n % k == 0 else 0)
         abs_crs = abs(crs_multiplicative(CrsQuery(k, n, s)).value)
         assert s_kn_mobius(k, n, s) == s_kn_closed_form(k, n, s) == abs_crs
+        g = arith.s_adapted_gcd(k, n, s)  # the one walk s_kn_mobius makes
+        for d in divisors(k):
+            assert arith.s_adapted_gcd(d, n, s) == math.gcd(d, g), (d, k, n, s)
 
     check_far_cells(check)
 

@@ -27,6 +27,14 @@ printf 'K=1000000000000\n1=1\n' > "$work/huge.spec"
 code=0; timeout 10 python -m crsums.cli expand "$work/huge.spec" 7 || code=$?
 test "$code" = 2
 
+step "An expand that cannot be printed leaves --out empty"
+# a_6 = 1/6**6000 has 4,669 digits, past the int-to-str limit of 4300
+printf 'K=6\n6=1\n' > "$work/f.spec"
+code=0; timeout 10 python -m crsums.cli expand "$work/f.spec" 5 --s 6000 --json \
+    --out "$work/x.json" || code=$?
+test "$code" = 2
+test -f "$work/x.json" && test ! -s "$work/x.json"
+
 step "A sweep past the row limit is refused up front"
 # 10^6 x 10^6 cells x 3 values of s x 6 checks, against a limit of 10^7 rows
 code=0; timeout 10 python -m crsums.cli sweep --k-max 1000000 --n-max 1000000 --format csv \
