@@ -11,7 +11,8 @@ another:
 
 * ``crs_direct``          literal root-of-unity summation, in a prime field
                           (ground truth, size-gated because it costs O(q**s)
-                          terms)
+                          terms; one streamed path in O(√(q**s)) memory,
+                          cached by (q, s, gcd(n, q**s)))
 * ``crs_mobius``          the divisor sum Σ_{d|q, d**s|n} μ(q/d)·d**s
                           (exact integer reference)
 * ``crs_multiplicative``  prime-power product (the default fast path)
@@ -78,9 +79,10 @@ def _field(modulus: int) -> tuple[int, int]:
     Every primitive root mod P is such an a, and Dirichlet's theorem gives
     the prime, so both scans end.
     """
-    # Uncached: no caller asks about these numbers again, and the candidates P
-    # would crowd factorize's cache.  It is read from arith itself, because a
-    # wrapper put on this module's ``factorize`` would unwrap to the cached one.
+    # Uncached: each (q, s, g) of the cached literal sum asks once, and the
+    # candidates P would crowd factorize's cache.  It is read from arith
+    # itself, because a wrapper put on this module's ``factorize`` would
+    # unwrap to the cached one.
     factor = arith.factorize.__wrapped__
     prime = next(p for p in count(1 + 2 * modulus, modulus) if factor(p) == ((p, 1),))
     cofactors = [modulus // p for p, _ in factor(modulus)]
@@ -106,13 +108,6 @@ class _RootsOnIndex:
         return self.high[t // self.width] * self.low[t % self.width] % self.prime
 
 
-@lru_cache(maxsize=1)
-def _root_table(modulus: int) -> tuple[int, tuple[int, ...]]:
-    """P and every ω**t mod P, equal to _RootsOnIndex(modulus).prime and [t]."""
-    prime, root = _field(modulus)
-    return prime, _powers(root, modulus, prime)
-
-
 def _admissible(q: int, s: int) -> Iterable[int]:
     """Each h in 1..q**s with (h, q**s)_s = 1, i.e. p**s ∤ h for every prime p|q."""
     terms: Iterable[int] = range(1, q**s + 1)
@@ -121,46 +116,55 @@ def _admissible(q: int, s: int) -> Iterable[int]:
     return terms
 
 
-@lru_cache(maxsize=1)
-def _admissible_h(q: int, s: int) -> tuple[int, ...]:
-    return tuple(_admissible(q, s))
+def _bounded_power(q: int, s: int) -> int | None:
+    """q**s, or None once s·(bits of q - 1) >= 4096, so q**s >= 2**4096.
+
+    q**s is built only below that threshold, where it is under 2**8192 (at
+    most 2,467 digits): past every limit here, but cheap and printable.
+    """
+    return q**s if s * (q.bit_length() - 1) < 4096 else None
 
 
 def _direct_value(q: int, n: int, s: int) -> int:
-    """Σ e(n·h/Q) over the admissible h, Q = q**s, summed as Σ ω**(n·h mod Q) in F_P.
-
-    P and ω are those of ``_field(Q)``: P is prime, P ≡ 1 (mod Q), P > 2Q,
-    and ω has order Q mod P.  The residue of the sum, lifted into
-    (-P/2, P/2), is the value c of Σ e(n·h/Q) itself:
-
-    * a unit u mod Q permutes the admissible h, since p ∤ u gives p**s | u·h
-      exactly when p**s | h.  So each Galois map ζ ↦ ζ**u of Q(ζ_Q) fixes
-      c, which is therefore a rational integer;
-    * P ∤ Q, so x**Q - 1 has distinct roots mod P, and ω, of order Q, is a
-      root of the cyclotomic polynomial Φ_Q.  Hence ζ_Q ↦ ω is a ring map
-      from Z[ζ_Q] = Z[x]/(Φ_Q) to F_P.  It sends Σ ζ_Q**(n·h) to the sum
-      of the ω**(n·h mod Q), and the integer c to c mod P;
-    * |c| <= #admissible <= Q < P/2, so the lift returns c.
-
-    The terms are added one by one, with no Möbius or multiplicative
-    formula, so this route stays independent of the other evaluators.
-    """
-    qs = q**s
-    if qs > DIRECT_GUARD:
+    """c_q^(s)(n) as the literal sum at g = gcd(n, q**s), refused past 10**6 terms."""
+    qs = _bounded_power(q, s)
+    if qs is None or qs > DIRECT_GUARD:
         raise ValueError(
-            f"direct evaluation requires q**s <= {DIRECT_GUARD}, got {qs}; "
+            f"direct evaluation requires q**s <= {DIRECT_GUARD}, got {qs or f'{q}**{s}'}; "
             "use the mobius or multiplicative evaluator instead"
         )
-    # Moduli that ``cross_check`` sums reuse the last (q, s)'s cached tables;
-    # larger ones stream the terms, so the extra memory stays O(√qs).
-    if qs <= CHECKED_DIRECT_GUARD:
-        (prime, roots), terms = _root_table(qs), _admissible_h(q, s)
-    else:
-        roots, terms = _RootsOnIndex(qs), _admissible(q, s)
-        prime = roots.prime
-    n_red = n % qs
-    residue = sum(roots[n_red * h % qs] for h in terms) % prime
-    return residue - prime if residue > prime // 2 else residue
+    return _direct_sum(q, s, math.gcd(n, qs))
+
+
+@lru_cache(maxsize=4096)
+def _direct_sum(q: int, s: int, g: int) -> int:
+    """Σ e(g·h/Q) over the admissible h, Q = q**s, summed as Σ ω**(g·h mod Q) in F_P.
+
+    It is c_q^(s)(n) for every n with gcd(n, Q) = g, and the literal sum
+    itself, with P and ω those of ``_field(Q)``: P is prime, P ≡ 1 (mod Q),
+    P > 2Q, and ω has order Q mod P.
+
+    * A unit u mod Q permutes the admissible h, since p ∤ u gives p**s | u·h
+      exactly when p**s | h.  So the sum at u·n equals the sum at n.
+    * Every n with gcd(n, Q) = g is u·g mod Q for some unit u: n/g is a
+      unit mod Q/g, and units lift from Z/(Q/g) to Z/Q.  So the sum at n
+      equals the sum at g, and the value depends on n only through g.
+    * Each Galois map ζ ↦ ζ**u of Q(ζ_Q) fixes the sum c by the first
+      point, so c is a rational integer.
+    * P ∤ Q, so x**Q - 1 has distinct roots mod P, and ω, of order Q, is a
+      root of the cyclotomic polynomial Φ_Q.  Hence ζ_Q ↦ ω is a ring map
+      from Z[ζ_Q] = Z[x]/(Φ_Q) to F_P.  It sends Σ ζ_Q**(g·h) to the sum
+      of the ω**(g·h mod Q), and the integer c to c mod P.
+    * |c| <= #admissible <= Q < P/2, so the lift into (-P/2, P/2) returns c.
+
+    The terms are added one by one, with no Möbius or multiplicative
+    formula, so this route stays independent of the other evaluators.  The
+    powers of ω stream from ``_RootsOnIndex``, so the memory is O(√Q).
+    """
+    qs = q**s
+    roots = _RootsOnIndex(qs)
+    residue = sum(roots[g * h % qs] for h in _admissible(q, s)) % roots.prime
+    return residue - roots.prime if residue > roots.prime // 2 else residue
 
 
 def _mobius_value(q: int, n: int, s: int) -> int:
@@ -204,7 +208,7 @@ def _hoelder_value(q: int, n: int, s: int) -> int:
 def crs_direct(query: CrsQuery) -> CrsValue:
     """Evaluate by summing the roots of unity literally, refused past 10**6 terms.
 
-    The sum is taken in a prime field where it is exact; ``_direct_value``
+    The sum is taken in a prime field where it is exact; ``_direct_sum``
     proves that the lifted residue is the integer c_q^(s)(n) itself, so no
     float or tolerance is involved.
     """
@@ -260,7 +264,8 @@ def cross_check(query: CrsQuery) -> dict[str, int]:
         "mobius": _mobius_value(q, n, s),
         "multiplicative": _multiplicative_value(q, n, s),
     }
-    if q**s <= CHECKED_DIRECT_GUARD:
+    qs = _bounded_power(q, s)
+    if qs is not None and qs <= CHECKED_DIRECT_GUARD:
         seen["direct"] = _direct_value(q, n, s)
     return seen
 

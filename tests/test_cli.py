@@ -7,6 +7,8 @@ import csv
 import functools
 import itertools
 import json
+import math
+import time
 
 import pytest
 
@@ -87,6 +89,39 @@ def test_direct_guard_env_override(capsys, monkeypatch):
     monkeypatch.setattr(crsum_module, "DIRECT_GUARD", 100)
     assert run(capsys, "crsum", "10", "1", "--s", "2", "--method", "direct") == (0, "1")
     assert main(["crsum", "11", "1", "--s", "2", "--method", "direct"]) == 2
+
+
+@pytest.mark.parametrize("q, n, s", [(2, 3, 100_000), (10**6, 5, 10**6), (10**6, 5, 10**7)])
+def test_direct_refuses_a_huge_power_without_building_it(capsys, q, n, s):
+    started = time.perf_counter()
+    code = main(["crsum", str(q), str(n), "--s", str(s), "--method", "direct"])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (f"error: direct evaluation requires q**s <= 1000000, got {q}**{s}; "
+                            "use the mobius or multiplicative evaluator instead\n")
+    assert elapsed < 1, f"refused after {elapsed:.2f} s"
+
+
+POISONED_KEY = (6, 2, 4)  # (q, s, gcd(n, q**s)): n = 4, 8, 16, 20, 28, ... at q**s = 36
+
+
+def test_poisoning_one_literal_sum_key_fails_exactly_its_cells(capsys, monkeypatch):
+    # the literal route is independent: one wrong (q, s, g) value is caught by
+    # --checked and by every crs-agreement cell that reads it, and by no other
+    summed = crsum_module._direct_sum
+    monkeypatch.setattr(crsum_module, "_direct_sum",
+                        lambda q, s, g: summed(q, s, g) + ((q, s, g) == POISONED_KEY))
+    assert main(["crsum", "6", "40", "--s", "2", "--checked"]) == 3
+    assert main(["crsum", "6", "12", "--s", "2", "--checked"]) == 0
+    capsys.readouterr()
+    code, out = run(capsys, "sweep", "--k-max", "12", "--n-max", "50", "--s", "1", "2", "3",
+                    "--checks", "crs-agreement")
+    failed = {(f["k"], f["n"], f["s"]) for f in json.loads(out)["failures"]}
+    assert code == 4
+    assert failed == {(k, n, s) for k in range(1, 13) for n in range(1, 51) for s in (1, 2, 3)
+                      if (k, s, math.gcd(n, k**s)) == POISONED_KEY}
+    assert {4, 44} <= {n for _, n, _ in failed}
 
 
 def test_jordan_ggcd_mobius(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import accumulate, repeat
 
 import pytest
 
@@ -21,7 +22,6 @@ from crsums.crsum import (
     cross_check,
     _certified,
     _field,
-    _root_table,
     _RootsOnIndex,
 )
 
@@ -36,6 +36,21 @@ def classical_ramanujan(q: int, n: int) -> int:
     assert abs(total.imag) < 1e-9
     assert abs(total.real - round(total.real)) < 1e-9
     return round(total.real)
+
+
+def literal_sums(q: int, s: int, ns) -> list[int]:
+    """Σ ω**(n·h mod Q) over 1 <= h <= Q = q**s with (h, Q)_s = 1, lifted, for each n.
+
+    Read from the definition with the field of ``_field(Q)``: no gcd of n
+    with Q, and no divisor d > 1 of q with d**s | h.
+    """
+    modulus = q**s
+    prime, root = _field(modulus)
+    powers = list(accumulate(repeat(root, modulus - 1), lambda x, y: x * y % prime, initial=1))
+    excluded = [d**s for d in range(2, q + 1) if q % d == 0]
+    terms = [h for h in range(1, modulus + 1) if all(h % ds for ds in excluded)]
+    residues = (sum(powers[n * h % modulus] for h in terms) % prime for n in ns)
+    return [r - prime if r > prime // 2 else r for r in residues]
 
 
 def printed_jordan_form(q: int, n: int, s: int) -> int | None:
@@ -92,8 +107,8 @@ def test_direct_guard(monkeypatch):
 
 
 def test_direct_large_modulus_path():
-    # past CHECKED_DIRECT_GUARD the evaluator streams its powers of ω from
-    # two tables of ⌈√(q**s)⌉ entries
+    # past CHECKED_DIRECT_GUARD, where cross_check stops summing literally,
+    # the powers of ω still stream from two tables of ⌈√(q**s)⌉ entries
     query = CrsQuery(109, 109**2, 2)
     assert crs_direct(query).value == 109**2 - 1
 
@@ -120,6 +135,33 @@ def test_direct_matches_mobius_on_random_cached_moduli():
     def agree(qs_pair, n):
         query = CrsQuery(qs_pair[0], n, qs_pair[1])
         assert crs_direct(query).value == crs_mobius(query).value
+
+    agree()
+
+
+def moduli_up_to(bound: int) -> list[tuple[int, int]]:
+    """Every (q, s) with q**s <= bound, and q = 1 at s = 1 only."""
+    return [(q, s) for s in range(1, bound.bit_length()) for q in range(1 + (s > 1), bound + 1)
+            if q**s <= bound]
+
+
+def test_direct_is_the_literal_sum_at_n_itself():
+    # crs_direct sums at g = gcd(n, q**s) once per (q, s, g); every n of the
+    # class must read the literal sum at n, also past q**s
+    for q, s in moduli_up_to(300):
+        ns = range(1, 2 * q**s + 1)
+        assert [crs_direct(CrsQuery(q, n, s)).value for n in ns] == literal_sums(q, s, ns)
+
+
+def test_direct_is_the_literal_sum_at_random_large_n():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(st.sampled_from(moduli_up_to(2000)), st.integers(1, 10**18))
+    def agree(qs_pair, n):
+        q, s = qs_pair
+        assert crs_direct(CrsQuery(q, n, s)).value == literal_sums(q, s, [n])[0]
 
     agree()
 
@@ -243,23 +285,9 @@ def test_crs_checked_flags_disagreement(monkeypatch):
         crs(CrsQuery(6, 3, 1), checked=True)
 
 
-class _OnesOnIndex:
-    """A poisoned streamed root source: every power of ω reads as 1."""
-
-    prime = 10**9 + 7
-
-    def __init__(self, modulus: int) -> None:
-        pass
-
-    def __getitem__(self, t: int) -> int:
-        return 1
-
-
-def test_poisoned_root_table_gives_a_wrong_integer_that_checking_catches(monkeypatch):
-    # every root reads as 1, so each sum counts its admissible h; poison both
-    # the cached table (q**s <= 10**4) and the streamed source (q**s > 10**4)
-    monkeypatch.setattr(crsum_module, "_root_table", lambda m: (10**9 + 7, (1,) * m))
-    monkeypatch.setattr(crsum_module, "_RootsOnIndex", _OnesOnIndex)
+def test_poisoned_roots_give_a_wrong_integer_that_checking_catches(ones_on_index):
+    # every root reads as 1, so each sum counts its admissible h; every size
+    # of q**s reads its roots from the one streamed source
     assert crs_direct(CrsQuery(3, 1, 1)).value == 2  # c_3(1) = -1
     with pytest.raises(CrossCheckError):
         crs(CrsQuery(3, 1, 1), checked=True)
@@ -269,12 +297,15 @@ def test_poisoned_root_table_gives_a_wrong_integer_that_checking_catches(monkeyp
         _certified(streamed, crs_direct(streamed))  # crsum --method direct --checked
 
 
-def test_root_table_equals_roots_on_index():
-    # cached and streamed direct sums read the same prime and the same powers
+def test_roots_on_index_are_the_powers_of_omega():
     for m in [*range(1, 3001), CHECKED_DIRECT_GUARD]:
-        streamed = _RootsOnIndex(m)
-        assert _root_table(m) == (streamed.prime, tuple(map(streamed.__getitem__, range(m))))
-    _root_table.cache_clear()
+        prime, root = _field(m)
+        roots = _RootsOnIndex(m)
+        assert roots.prime == prime
+        power = 1  # ω**t mod P
+        for t in range(m):
+            assert roots[t] == power
+            power = power * root % prime
 
 
 def test_field_has_a_root_of_order_q():

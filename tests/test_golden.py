@@ -361,9 +361,8 @@ def test_forced_disagreement_exits_3(capsys, monkeypatch, command):
     assert run(capsys, command) == (3, "")
 
 
-def test_poisoned_root_table_exits_3_when_checked(capsys, monkeypatch):
+def test_poisoned_roots_exit_3_when_checked(capsys, ones_on_index):
     # every root read as 1: the sum counts the 2 admissible h, not c_3(1) = -1
-    monkeypatch.setattr(crsum_module, "_root_table", lambda m: (10**9 + 7, (1,) * m))
     assert run(capsys, "crsum 3 1 --method direct") == (0, "2\n")
     assert run(capsys, "crsum 3 1 --method direct --checked") == (3, "")
 

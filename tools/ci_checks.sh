@@ -35,6 +35,16 @@ code=0; timeout 10 python -m crsums.cli expand "$work/f.spec" 5 --s 6000 --json 
 test "$code" = 2
 test -f "$work/x.json" && test ! -s "$work/x.json"
 
+step "The default sweep reports keep their bytes"
+# 50 x 50 cells x s in 1..3 x all six checks, as CSV and as JSON
+timeout 120 python -m crsums.cli sweep --format csv --out "$work/sweep.csv"
+timeout 120 python -m crsums.cli sweep --out "$work/sweep.json"
+(cd "$work" && sha256sum -c <<'EOF'
+2fb40244d13c37937c8c6602658e43b4ddac7b4b895c97ba0adab350aec31e5b  sweep.csv
+1c62d30f41a030bc97111dbcba5e025d74a5f08157c1aee65f28f7d3a51a056d  sweep.json
+EOF
+)
+
 step "A sweep past the row limit is refused up front"
 # 10^6 x 10^6 cells x 3 values of s x 6 checks, against a limit of 10^7 rows
 code=0; timeout 10 python -m crsums.cli sweep --k-max 1000000 --n-max 1000000 --format csv \
