@@ -71,6 +71,7 @@ class CrsValue:
     method: Method
 
 
+@lru_cache(maxsize=4096)
 def _field(modulus: int) -> tuple[int, int]:
     """The first prime P = 1 + j·modulus with j >= 2, and ω of order modulus mod P.
 
@@ -79,10 +80,10 @@ def _field(modulus: int) -> tuple[int, int]:
     Every primitive root mod P is such an a, and Dirichlet's theorem gives
     the prime, so both scans end.
     """
-    # Uncached: each (q, s, g) of the cached literal sum asks once, and the
-    # candidates P would crowd factorize's cache.  It is read from arith
-    # itself, because a wrapper put on this module's ``factorize`` would
-    # unwrap to the cached one.
+    # Cached by modulus, which the (q, s, g) keys of the literal sum share.
+    # The candidates P are factored uncached, as they would crowd
+    # factorize's cache; it is read from arith itself, because a wrapper put
+    # on this module's ``factorize`` would unwrap to the cached one.
     factor = arith.factorize.__wrapped__
     prime = next(p for p in count(1 + 2 * modulus, modulus) if factor(p) == ((p, 1),))
     cofactors = [modulus // p for p, _ in factor(modulus)]

@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 from .arith import _require_positive, divisors, omega
 from .crsum import _multiplicative_value
-from .identities import _closed_form, divisor_abs_sum
+from .identities import _closed_form
 
 
 @dataclass(frozen=True)
@@ -213,6 +213,17 @@ def _expansion(spec: MobiusSpec, s: int) -> Expansion:
     return Expansion(spec, s)
 
 
+@lru_cache(maxsize=1)
+def _crs_table(spec: MobiusSpec, s: int, n: int) -> dict[int, int]:
+    """c_q^(s)(n**s) for each q of ``Expansion.numerators``; callers check n and s first.
+
+    ``partial_expansion`` and ``rearrangement_check`` on one (f, s, n) read
+    these values, evaluated once; the dict is never handed out.
+    """
+    ns = n**s
+    return {q: _multiplicative_value(q, ns, s) for q in _expansion(spec, s).numerators}
+
+
 def partial_expansion(
     spec: MobiusSpec, n: int, s: int, q_max: int | None = None
 ) -> ExpansionReport:
@@ -225,14 +236,14 @@ def partial_expansion(
     if q_max is None:
         q_max = spec.support_bound
     _require_positive(q_max=q_max)
-    ns = n**s
     expansion = _expansion(spec, s)
+    values = _crs_table(spec, s, n)
     partial = 0
     for q, a in expansion.numerators.items():
         if q > q_max:
             break
         if a:
-            partial += a * _multiplicative_value(q, ns, s)
+            partial += a * values[q]
     nonzero = {q: a for q, a in expansion.coefficients.items() if q <= q_max}
     partial_sum = Fraction(partial, expansion.denominator)
     target = Fraction(f_from_spec(spec, n))
@@ -255,9 +266,13 @@ def rearrangement_check(spec: MobiusSpec, n: int, s: int) -> bool:
     literal enumeration of the pairs (q, k = m·q) over the support, as
     Σ_q |c_q^(s)(n**s)|·B_q with the B_q of ``Expansion``: the pairs are
     enumerated k-major through divisors(k) once per (f, s).  It is then
-    regrouped along k through the divisor absolute sum, then once more
-    through its closed form 2**ω(k/g)·g**s (``identities._closed_form``);
-    all three are integers over the common denominator of ``Expansion``.
+    regrouped along k as Σ_k |w_k|·Σ_{q|k} |c_q^(s)(n**s)|, reading divisors(k)
+    again, then once more through its closed form 2**ω(k/g)·g**s
+    (``identities._closed_form``); all three are integers over the common
+    denominator of ``Expansion``.  The pair and grouped sums read one table
+    of the c_q^(s)(n**s), filled by one evaluator once per (f, s, n) and
+    shared with ``partial_expansion``: they agree by regrouping alone, and
+    the closed form is the independent side.
     True iff the three coincide and every k in the support satisfies the
     chain
 
@@ -273,19 +288,19 @@ def rearrangement_check(spec: MobiusSpec, n: int, s: int) -> bool:
     not a property of the spec: ω(k) <= ω(g) + ω(k/g) and 2**ω(g) <= g <= g**s.
     """
     _require_positive(n=n, s=s)
-    ns = n**s
     expansion = _expansion(spec, s)
+    values = _crs_table(spec, s, n)
 
     double_sum = 0
     for q, b in expansion.abs_sums.items():
-        double_sum += abs(_multiplicative_value(q, ns, s)) * b
+        double_sum += abs(values[q]) * b
 
     grouped = closed = 0
     for k, w in expansion.weights.items():
         term = _closed_form(k, gcd(k, n), s)
         if term < 1 << omega(k):  # termwise lower bound
             return False
-        grouped += abs(w) * divisor_abs_sum(k, ns, s)
+        grouped += abs(w) * sum(abs(values[q]) for q in divisors(k))
         closed += abs(w) * term
 
     return double_sum == grouped == closed

@@ -308,6 +308,26 @@ def test_roots_on_index_are_the_powers_of_omega():
             power = power * root % prime
 
 
+def test_field_is_built_once_per_modulus(monkeypatch):
+    # the (q, s, g) keys of the literal sum share the field of their q**s
+    built = []
+    roots_on_index = crsum_module._RootsOnIndex
+
+    def counting(modulus):
+        built.append(modulus)
+        return roots_on_index(modulus)
+
+    monkeypatch.setattr(crsum_module, "_RootsOnIndex", counting)
+    grid = [CrsQuery(q, n, s) for q in range(1, 13) for n in range(1, 51) for s in (1, 2, 3)]
+    for query in grid:
+        assert crs_direct(query).value == crs_mobius(query).value, query
+    keys = {(x.q, x.s, math.gcd(x.n, x.q**x.s)) for x in grid}
+    moduli = {x.q**x.s for x in grid}
+    assert sorted(built) == sorted(q**s for q, s, _ in keys)  # one literal sum per key
+    assert len(keys) > len(moduli)  # 4 = 2**2 = 4**1, and g splits each modulus
+    assert _field.cache_info().misses == len(moduli)
+
+
 def test_field_has_a_root_of_order_q():
     # what the exactness proof of _direct_value needs from _field(Q)
     sympy = pytest.importorskip("sympy")

@@ -21,7 +21,7 @@ from crsums.expansions import (
     partial_expansion,
     rearrangement_check,
 )
-from crsums.identities import _closed_form, grytczuk_value
+from crsums.identities import _closed_form, divisor_abs_sum, grytczuk_value
 
 
 def random_specs(count: int, seed: int, max_bound: int = 40) -> list[MobiusSpec]:
@@ -297,15 +297,37 @@ def _shifted_at_12(original):
     return lambda k, n, s: original(k, n, s) + (k == 12)
 
 
-@pytest.mark.parametrize("name, poison", [
-    pytest.param("divisor_abs_sum", _shifted_at_12, id="divisor_abs_sum"),
-    pytest.param("_closed_form", _shifted_at_12, id="omega_closed_side"),
-    pytest.param("_multiplicative_value", _shifted_at_12, id="_multiplicative_value"),
+def _named(name):
+    def poison(monkeypatch, spec):
+        monkeypatch.setattr(expansions, name, _shifted_at_12(getattr(expansions, name)))
+    return poison
+
+
+def _abs_sum_at_12_grown(monkeypatch, spec):
+    # B_12 of the cached Expansion, which the pair sum alone reads
+    abs_sums = expansions._expansion(spec, 2).abs_sums
+    monkeypatch.setitem(abs_sums, 12, abs_sums[12] + 1)
+
+
+def _divisors_of_12_cut(monkeypatch, spec):
+    # the grouped sum's k-major read loses the divisor 12 of k = 12; the
+    # cached Expansion read divisors(12) whole, so B_12 is kept
+    original = expansions.divisors
+    monkeypatch.setattr(expansions, "divisors",
+                        lambda k: original(k)[:-1] if k == 12 else original(k))
+
+
+@pytest.mark.parametrize("poison", [
+    pytest.param(_abs_sum_at_12_grown, id="pair_side_abs_sums"),
+    pytest.param(_divisors_of_12_cut, id="grouped_side_divisors"),
+    pytest.param(_named("_closed_form"), id="omega_closed_side"),
+    pytest.param(_named("_multiplicative_value"), id="_multiplicative_value"),
 ])
-def test_rearrangement_detects_a_wrong_route(monkeypatch, name, poison):
+def test_rearrangement_detects_a_wrong_route(monkeypatch, poison):
     spec = MobiusSpec(12, {2: 3, 6: -1, 12: 2})
     assert rearrangement_check(spec, 4, 2)
-    monkeypatch.setattr(expansions, name, poison(getattr(expansions, name)))
+    poison(monkeypatch, spec)
+    expansions._crs_table.cache_clear()  # the values of the first call hide no poison
     assert not rearrangement_check(spec, 4, 2)
 
 
@@ -325,19 +347,51 @@ def test_rearrangement_checks_the_chain_at_a_support_entry(monkeypatch):
 def test_rearrangement_checks_the_grouped_sum_against_the_sieve(monkeypatch):
     spec = MobiusSpec(12, {2: 3, 6: -1, 12: 2})
     assert rearrangement_check(spec, 4, 2)
-    # Shift the literal and the grouped sum alike at 12, which is in the
-    # support and divides no other entry: they still agree, so only the
-    # closed side, read from ω, objects.
-    monkeypatch.setattr(expansions, "divisor_abs_sum",
-                        _shifted_at_12(expansions.divisor_abs_sum))
+    # Grow |c_12| by one in the table that the pair and the grouped sum both
+    # read.  12 is in the support and divides no other entry, so the two
+    # still agree, and only the closed side, read from ω, objects.
     value = expansions._multiplicative_value
 
-    def shifted_value(q, n, s):  # |c_12| grows by one, as divisor_abs_sum did
+    def shifted_value(q, n, s):
         c = value(q, n, s)
         return c + (q == 12) * (-1 if c < 0 else 1)
 
     monkeypatch.setattr(expansions, "_multiplicative_value", shifted_value)
+    expansions._crs_table.cache_clear()
     assert not rearrangement_check(spec, 4, 2)
+    # the closed side grown by the same one at 12 agrees with both again
+    monkeypatch.setattr(expansions, "_closed_form", _shifted_at_12(expansions._closed_form))
+    assert rearrangement_check(spec, 4, 2)
+
+
+def test_grouped_sum_is_the_library_divisor_abs_sum(monkeypatch):
+    # With the closed side read from identities.divisor_abs_sum, which
+    # evaluates each |c_q| itself, True says that the grouped sum, read from
+    # the shared table, is Σ_k |w_k|·divisor_abs_sum(k, n**s, s).
+    for spec in random_specs(20, seed=77) + sparse_specs(6, seed=404):
+        for s in (1, 2, 3):
+            for n in (1, 2, 3, 6, 8, 13, 17, 36):
+                monkeypatch.setattr(expansions, "_closed_form",
+                                    lambda k, g, s, ns=n**s: divisor_abs_sum(k, ns, s))
+                assert rearrangement_check(spec, n, s), (spec.label, n, s)
+
+
+def test_one_report_and_one_check_evaluate_each_q_once(monkeypatch):
+    evaluated = []
+    value = expansions._multiplicative_value
+
+    def counting(q, n, s):
+        evaluated.append(q)
+        return value(q, n, s)
+
+    monkeypatch.setattr(expansions, "_multiplicative_value", counting)
+    for spec in random_specs(6, seed=31) + sparse_specs(6, seed=32):
+        for s in (1, 2, 3):
+            for n in (1, 4, 30):
+                evaluated.clear()
+                partial_expansion(spec, n, s)
+                assert rearrangement_check(spec, n, s)
+                assert evaluated == list(expansions._expansion(spec, s).numerators)
 
 
 def test_sieve_term_matches_grytczuk_value():
@@ -525,7 +579,8 @@ def test_a_report_hands_out_no_cached_dict():
 
 
 def test_a_cached_expansion_never_answers_a_refused_s():
-    # 2.0, True and Fraction(2) hash and compare like the cached s they equal
+    # 2.0, True and Fraction(2) hash and compare like the cached s they equal,
+    # and 4.0, True and Fraction(4) like the n of the cached table of c_q
     spec = MobiusSpec(6, {1: 1, 2: -3, 6: 2})
     calls = [
         lambda s: Expansion(spec, s),
@@ -537,3 +592,8 @@ def test_a_cached_expansion_never_answers_a_refused_s():
             call(good)
             with pytest.raises(ValueError, match="s must be a positive integer"):
                 call(bad)
+    for call in (partial_expansion, rearrangement_check):
+        for good, bad in ((4, 4.0), (1, True), (4, Fraction(4))):
+            call(spec, good, 2)
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                call(spec, bad, 2)

@@ -57,8 +57,9 @@ step "Rearrangement check over a support of 3,000,000 reads omega at its entries
 # 2,999,999 is an entry at the top of the support.
 timeout 60 python -c 'import sys; from crsums.expansions import MobiusSpec, rearrangement_check; sys.exit(rearrangement_check(MobiusSpec(3_000_000, {1: 1, 2_552_550: -2, 2_999_999: 3}), 7, 2) is not True)'
 
-step "A dense expansion loop builds each Expansion once"
+step "A dense expansion loop builds each Expansion once and evaluates each c_q once"
 # The loop of acceptance criteria 7 and 8: 20 specs x s in 1..3 x n in 1..50.
+# Each (spec, s, n) evaluates c_q^(s)(n^s) once per q of Expansion.numerators.
 timeout 60 python -c '
 import random, sys
 from crsums import expansions
@@ -67,15 +68,24 @@ specs = []
 for i in range(20):
     bound = rng.randint(1, 40)
     specs.append(expansions.MobiusSpec(bound, {k: rng.randint(-9, 9) for k in range(1, bound + 1)}))
-bad = 0
+calls = 0
+value = expansions._multiplicative_value
+def counting(q, n, s):
+    global calls
+    calls += 1
+    return value(q, n, s)
+expansions._multiplicative_value = counting
+bad = want = 0
 for spec in specs:
     for s in (1, 2, 3):
         for n in range(1, 51):
             bad += expansions.partial_expansion(spec, n, s).residual != 0
             bad += expansions.rearrangement_check(spec, n, s) is not True
+            want += len(expansions._expansion(spec, s).numerators)
 info = expansions._expansion.cache_info()
-print(f"{bad} failed of 6000 checks; Expansion built {info.misses} times (want 60)")
-sys.exit(bad != 0 or info.misses != 60)'
+print(f"{bad} failed of 6000 checks; Expansion built {info.misses} times (want 60); "
+      f"c_q evaluated {calls} times (want {want})")
+sys.exit(bad != 0 or info.misses != 60 or calls != want)'
 
 step "Closed forms at k = 10**9+7 answer from the factorization of k"
 timeout 10 python -m crsums.cli grytczuk 1000000007 5 --s 2
