@@ -9,7 +9,8 @@ parser, whose help and errors list every subcommand.  It then opens the
 one sink, ``--out`` or stdout, before any computation, and every handler
 ``(args, sink) -> int`` prints its output there: ``sweep --format csv`` writes
 each row as its check runs, so a sweep that aborts leaves the rows before it,
-and ``expand`` writes its coefficients in bounded pieces, whatever K is.
+and ``expand`` writes its runs of zero coefficients one block of at most
+1,000 keys at a time, from one template, whatever K is.
 
 Exit codes are stable: 0 success, 2 usage/parse/precondition failure, an
 operand that cannot be factored with certainty or a path that cannot be read or
@@ -69,7 +70,8 @@ def _dumps(obj) -> str:
 
     The reports hold no cycles, so the per-container check is skipped.
     ``expand`` writes its q_max-entry ``coefficients`` object itself, with
-    ``_write_coefficients``, and passes only its other fields through here.
+    ``_write_coefficients``, in the bytes this would give it, and passes
+    only its other fields through here.
     """
     return json.dumps(obj, separators=(",", ":"), default=str, check_circular=False)
 
@@ -328,21 +330,32 @@ def _cmd_expand(args: argparse.Namespace, sink: TextIO) -> int:
     return 0
 
 
-_ZERO_RUN = 1 << 14  # keys per write in a run of zero coefficients
+# The zero members of block P, the keys q = P·1000 + r for P ≥ 1: the member
+# ,"Prrr":"0" of r is the 11 characters at r*11, with "#" standing for P.
+_ZERO_BLOCK = "".join(f',"#{r:03}":"0"' for r in range(1000))
 
 
 def _write_coefficients(sink: TextIO, members: dict[int, str], q_max: int) -> None:
     """Write the members "q":"a_q" for q in 1..q_max, as _dumps would.
 
     ``members`` maps each q with a non-zero a_q, in increasing q, to its
-    member text; the runs of "0" between them are written _ZERO_RUN keys at
-    a time, so memory stays bounded whatever q_max is.
+    member text.  The runs of "0" between them are written one block of at
+    most 1,000 keys at a time, so memory stays bounded whatever q_max is.
+    Keys below 1,000 are joined one by one; in block P ≥ 1 a run is a slice
+    of ``_ZERO_BLOCK`` with P put in for "#", which costs one ``str`` per
+    write and not one per key.
     """
     start = 1
     for q, member in [*members.items(), (q_max + 1, None)]:
-        for lo in range(start, q, _ZERO_RUN):
-            keys = map(str, range(lo, min(lo + _ZERO_RUN, q)))
-            sink.write(("," if lo > 1 else "") + '"' + '":"0","'.join(keys) + '":"0"')
+        while start < q:
+            block, lo = divmod(start, 1000)
+            hi = min(q - block * 1000, 1000)  # the keys block·1000 + lo..hi-1
+            if block:
+                sink.write(_ZERO_BLOCK[lo * 11:hi * 11].replace("#", str(block)))
+            else:
+                keys = map(str, range(lo, hi))
+                sink.write(("," if lo > 1 else "") + '"' + '":"0","'.join(keys) + '":"0"')
+            start = block * 1000 + hi
         if member is not None:
             sink.write(("," if q > 1 else "") + member)
         start = q + 1

@@ -5,10 +5,13 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import itertools
 import json
 import math
+import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -346,25 +349,87 @@ def test_expand_report(capsys, tmp_path):
     assert payload["condition_sum"] == "2"
 
 
-@pytest.mark.parametrize("zero_run", [1, 2, 5, cli._ZERO_RUN])
-def test_expand_streams_the_bytes_of_one_dumps(capsys, tmp_path, monkeypatch, zero_run):
-    # Runs of zero coefficients are written zero_run keys at a time; the
-    # reference serializes the whole report as one dict.
-    monkeypatch.setattr(cli, "_ZERO_RUN", zero_run)
-    spec = MobiusSpec(40, {1: 2, 7: -3, 24: 1, 39: 5}, label="st\u00e9p \"x\"")
+def _expand_bytes_and_one_dumps(capsys, tmp_path, spec, n, s, q_max):
+    """What ``expand`` prints, and the one ``json.dumps`` of the whole report."""
     spec_file = tmp_path / "f.spec"
     spec_file.write_text(spec.to_text(), encoding="utf-8")
-    for n, s, q_max in ((6, 1, None), (7, 2, 1), (12, 3, 24), (5, 2, 100)):
-        argv = ["expand", str(spec_file), str(n), "--s", str(s)]
-        assert main(argv + (["--q-max", str(q_max)] if q_max else [])) == 0
-        report = partial_expansion(spec, n, s, q_max)
-        reference = json.dumps({
-            "label": spec.label, "support_bound": 40, "n": n, "s": s,
-            "q_max": report.q_max, "coefficients": dict(report.coefficients),
-            "partial_sum": report.partial_sum, "target": report.target,
-            "residual": report.residual, "condition_sum": report.condition_sum,
-        }, separators=(",", ":"), default=str) + "\n"
-        assert capsys.readouterr().out == reference
+    argv = ["expand", str(spec_file), str(n), "--s", str(s)]
+    assert main(argv + (["--q-max", str(q_max)] if q_max else [])) == 0
+    report = partial_expansion(spec, n, s, q_max)
+    reference = json.dumps({
+        "label": spec.label, "support_bound": spec.support_bound, "n": n, "s": s,
+        "q_max": report.q_max, "coefficients": dict(report.coefficients),
+        "partial_sum": report.partial_sum, "target": report.target,
+        "residual": report.residual, "condition_sum": report.condition_sum,
+    }, separators=(",", ":"), default=str) + "\n"
+    return capsys.readouterr().out, reference
+
+
+@pytest.mark.parametrize("top_q_max", [1, 2, 5, 16384])
+def test_expand_streams_the_bytes_of_one_dumps(capsys, tmp_path, top_q_max):
+    # The fixed q_max are below 1,000, where the zero keys are joined one by
+    # one; top_q_max = 16384 runs past K = 40 through 16 whole zero blocks.
+    spec = MobiusSpec(40, {1: 2, 7: -3, 24: 1, 39: 5}, label="st\u00e9p \"x\"")
+    for n, s, q_max in ((6, 1, None), (7, 2, 1), (12, 3, 24), (5, 2, 100), (6, 2, top_q_max)):
+        out, reference = _expand_bytes_and_one_dumps(capsys, tmp_path, spec, n, s, q_max)
+        assert out == reference
+
+
+# Non-zero a_q at 999 | 1000 | 1001 across the first block edge, at the
+# adjacent 1500 and 1501, then a zero run 1502..1998 inside block 1 up to 1999,
+# and at 9091 and 100001 from the top entry 100001 = 11·9091.
+EDGE_SPEC = MobiusSpec(100001, {1: 2, 999: -3, 1000: 1, 1001: 5, 1500: 4, 1501: 2,
+                                1999: -1, 100001: 7}, label="bl\u00f6ck \"edges\"")
+
+
+@pytest.mark.parametrize("q_max", [999, 1000, 1001, 1999, 2000, 9999, 10000, 10001, 100001])
+def test_expand_bytes_across_block_edges(capsys, tmp_path, q_max):
+    for s in (1, 2):
+        out, reference = _expand_bytes_and_one_dumps(capsys, tmp_path, EDGE_SPEC, 12, s, q_max)
+        assert out == reference
+    nonzero = partial_expansion(EDGE_SPEC, 12, 1).coefficients.nonzero
+    assert {999, 1000, 1001, 1500, 1501, 1999, 9091, 100001} <= set(nonzero)
+
+
+def _write_by_key(sink, members: dict[int, str], q_max: int) -> None:
+    """The writer as it was before block templates: one ``str`` per zero key."""
+    start = 1
+    for q, member in [*members.items(), (q_max + 1, None)]:
+        for lo in range(start, q, 1 << 14):
+            keys = map(str, range(lo, min(lo + (1 << 14), q)))
+            sink.write(("," if lo > 1 else "") + '"' + '":"0","'.join(keys) + '":"0"')
+        if member is not None:
+            sink.write(("," if q > 1 else "") + member)
+        start = q + 1
+
+
+def test_write_coefficients_is_one_dumps_on_seeded_members():
+    rng = random.Random(28)
+    for _ in range(300):
+        q_max = rng.choice([rng.randint(1, 2500), rng.randint(1, 30000)])
+        edges = [q for b in range(0, q_max + 2, 1000) for q in (b - 1, b, b + 1)]
+        pool = [q for q in edges + rng.sample(range(1, q_max + 1), min(q_max, 20))
+                if 1 <= q <= q_max]
+        chosen = sorted(set(rng.sample(pool, rng.randint(0, min(len(pool), 12)))))
+        values = {q: f"{rng.randint(-99, 99) or 1}/{rng.randint(1, 999)}" for q in chosen}
+        sink = io.StringIO()
+        cli._write_coefficients(sink, {q: f'"{q}":"{a}"' for q, a in values.items()}, q_max)
+        whole = {q: values.get(q, "0") for q in range(1, q_max + 1)}
+        assert "{" + sink.getvalue() + "}" == json.dumps(whole, separators=(",", ":"))
+
+
+def test_write_coefficients_writes_at_most_one_block_at_a_time():
+    q_max = 10**6
+    report = partial_expansion(MobiusSpec(q_max, {q_max: 1}), 7, 2)
+    members = {q: f'"{q}":"{a}"' for q, a in report.coefficients.nonzero.items()}
+    writes, by_key = [], io.StringIO()
+    cli._write_coefficients(SimpleNamespace(write=writes.append), members, q_max)
+    _write_by_key(by_key, members, q_max)
+    # 1,000 zero members ,"qqqqqqq":"0" of 7-digit keys are 14,000 characters.
+    assert max(w.count('":"0"') for w in writes) == 1000
+    assert max(map(len, writes)) <= 1000 * len(',"1234567":"0"') == 14000
+    assert "".join(writes) == by_key.getvalue()
+    assert len(members) == 49  # a_q != 0 exactly on the divisors of 10**6
 
 
 @pytest.mark.parametrize("spec_text, q_max, refused", [

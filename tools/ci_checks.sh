@@ -14,13 +14,32 @@ step() { printf '\n== %s\n' "$1"; }
 step "Sparse expand over a support of 3,000,000"
 printf 'K=3000000\n1=1\n' > "$work/big.spec"
 python -c '
-import resource, subprocess, sys
+import resource, subprocess, sys, time
+start = time.perf_counter()
 subprocess.run([sys.executable, "-m", "crsums.cli", "expand", sys.argv[1], "7", "--s", "2",
-                "--json", "--out", sys.argv[2]], check=True, timeout=120)
+                "--json", "--out", sys.argv[2]], check=True, timeout=30)
+wall = time.perf_counter() - start
 peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-print(f"expand peak RSS {peak:.0f} MiB (limit 64)")
+print(f"expand wall time {wall:.2f} s, peak RSS {peak:.0f} MiB (limit 64)")
 sys.exit(peak > 64)' "$work/big.spec" "$work/big.json"
 (cd "$work" && echo "0a234f2d8c9704421b076a6fdcd4c6d56ab1912ea7b45fe2509c66cf6d98fe20  big.json" | sha256sum -c)
+
+step "Sparse expand reports keep their bytes across the 1,000-key block edges"
+# Runs of zero coefficients are written one block of keys P*1000..P*1000+999
+# at a time; the entries sit on and around block edges, and so do many of
+# their divisors, where a_q is non-zero too.
+printf 'K=123456\nlabel=block edges\n1=1\n999=-2\n1000=3\n1001=-4\n54321=5\n100000=-6\n123456=7\n' \
+    > "$work/edges.spec"
+for s in 1 2 3; do
+    timeout 30 python -m crsums.cli expand "$work/edges.spec" 12 --s "$s" --json \
+        --out "$work/edges$s.json"
+done
+(cd "$work" && sha256sum -c <<'EOF'
+cba9f345082a5a48893b331e48073f7e84f8ce5f70c741f7ac71f88d9d933540  edges1.json
+6406ac673d5f961b235657edb5b1a25f13b87eaf38198f32fe2f6808620053bf  edges2.json
+a010974cb624ec07c867de6d58e76044e50a7657d07bd1d1f2538240bf648395  edges3.json
+EOF
+)
 
 step "An expand report past 10^8 coefficients is refused up front"
 printf 'K=1000000000000\n1=1\n' > "$work/huge.spec"
