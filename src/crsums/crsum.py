@@ -11,7 +11,8 @@ another:
 
 * ``crs_direct``          literal root-of-unity summation, in a prime field
                           (ground truth, size-gated because it costs O(q**s)
-                          terms; one streamed path in O(√(q**s)) memory,
+                          terms; walked in rows of ⌈√(q**s)⌉ h from one
+                          table of ⌈√(q**s)⌉ powers, so O(√(q**s)) memory;
                           cached by (q, s, gcd(n, q**s)))
 * ``crs_mobius``          the divisor sum Σ_{d|q, d**s|n} μ(q/d)·d**s
                           (exact integer reference)
@@ -27,8 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, count, repeat
-from typing import Iterable, Literal
+from itertools import accumulate, compress, count, repeat
+from typing import Literal
 
 from . import arith
 from .arith import (
@@ -91,30 +92,13 @@ def _field(modulus: int) -> tuple[int, int]:
     return prime, next(w for w in candidates if all(pow(w, c, prime) != 1 for c in cofactors))
 
 
-def _powers(base: int, length: int, prime: int) -> tuple[int, ...]:
-    """base**t mod prime for t in 0..length-1."""
-    return tuple(accumulate(repeat(base, length - 1), lambda x, y: x * y % prime, initial=1))
-
-
-class _RootsOnIndex:
-    """ω**t mod P from two tables of ⌈√modulus⌉ powers each, so O(√modulus) memory."""
-
-    def __init__(self, modulus: int) -> None:
-        self.prime, root = _field(modulus)
-        self.width = math.isqrt(modulus - 1) + 1  # t < modulus <= width**2
-        self.low = _powers(root, self.width, self.prime)
-        self.high = _powers(pow(root, self.width, self.prime), self.width, self.prime)
-
-    def __getitem__(self, t: int) -> int:
-        return self.high[t // self.width] * self.low[t % self.width] % self.prime
-
-
-def _admissible(q: int, s: int) -> Iterable[int]:
-    """Each h in 1..q**s with (h, q**s)_s = 1, i.e. p**s ∤ h for every prime p|q."""
-    terms: Iterable[int] = range(1, q**s + 1)
+def _admissible(q: int, s: int, hs: range) -> bytearray:
+    """A mask over hs: 1 at each h with (h, q**s)_s = 1, i.e. p**s ∤ h for every prime p|q."""
+    mask = bytearray([1]) * len(hs)
     for p, _ in factorize(q):
-        terms = filter((p**s).__rmod__, terms)  # keeps h with h % p**s != 0
-    return terms
+        first = -hs.start % p**s  # hs[first] is the first multiple of p**s in hs
+        mask[first::p**s] = bytes(len(hs[first::p**s]))
+    return mask
 
 
 def _bounded_power(q: int, s: int) -> int | None:
@@ -139,7 +123,7 @@ def _direct_value(q: int, n: int, s: int) -> int:
 
 @lru_cache(maxsize=4096)
 def _direct_sum(q: int, s: int, g: int) -> int:
-    """Σ e(g·h/Q) over the admissible h, Q = q**s, summed as Σ ω**(g·h mod Q) in F_P.
+    """Σ e(g·h/Q) over the admissible h, Q = q**s, summed as Σ (ω**g)**h in F_P.
 
     It is c_q^(s)(n) for every n with gcd(n, Q) = g, and the literal sum
     itself, with P and ω those of ``_field(Q)``: P is prime, P ≡ 1 (mod Q),
@@ -159,13 +143,24 @@ def _direct_sum(q: int, s: int, g: int) -> int:
     * |c| <= #admissible <= Q < P/2, so the lift into (-P/2, P/2) returns c.
 
     The terms are added one by one, with no Möbius or multiplicative
-    formula, so this route stays independent of the other evaluators.  The
-    powers of ω stream from ``_RootsOnIndex``, so the memory is O(√Q).
+    formula, so this route stays independent of the other evaluators.  h
+    runs over 0..Q-1, where h = 0 stands for h = Q: both give the term 1,
+    and p**s divides both.  The walk takes h in rows of w = ⌈√Q⌉ values,
+    the last row clipped at Q.  The term of h = start + i is
+    step**start·low[i], where low holds the w powers of step = ω**g and
+    step**start is carried from row to row, so the memory is O(√Q).
     """
     qs = q**s
-    roots = _RootsOnIndex(qs)
-    residue = sum(roots[g * h % qs] for h in _admissible(q, s)) % roots.prime
-    return residue - roots.prime if residue > roots.prime // 2 else residue
+    prime, root = _field(qs)
+    width = math.isqrt(qs - 1) + 1  # qs <= width**2
+    step = pow(root, g, prime)
+    low = list(accumulate(repeat(step, width - 1), lambda x, y: x * y % prime, initial=1))
+    high, total = 1, 0  # high = step**start
+    for start in range(0, qs, width):
+        row = range(start, min(start + width, qs))
+        total += high * sum(compress(low, _admissible(q, s, row)))
+        high = high * low[-1] * step % prime
+    return (total + prime // 2) % prime - prime // 2  # the lift into (-P/2, P/2)
 
 
 def _mobius_value(q: int, n: int, s: int) -> int:
@@ -267,7 +262,7 @@ def cross_check(query: CrsQuery) -> dict[str, int]:
     }
     qs = _bounded_power(q, s)
     if qs is not None and qs <= CHECKED_DIRECT_GUARD:
-        seen["direct"] = _direct_value(q, n, s)
+        seen["direct"] = _direct_sum(q, s, math.gcd(n, qs))
     return seen
 
 

@@ -32,19 +32,7 @@ def _empty_caches():
         cache.cache_clear()
 
 
-class _OnesOnIndex:
-    """A poisoned source of the powers of ω: every one reads as 1."""
-
-    prime = 10**9 + 7
-
-    def __init__(self, modulus: int) -> None:
-        pass
-
-    def __getitem__(self, t: int) -> int:
-        return 1
-
-
 @pytest.fixture
 def ones_on_index(monkeypatch):
-    """Poison the literal sum: it counts its admissible h instead of adding roots."""
-    monkeypatch.setattr(crsum_module, "_RootsOnIndex", _OnesOnIndex)
+    """Poison the literal sum: ω reads as 1, so it counts its admissible h."""
+    monkeypatch.setattr(crsum_module, "_field", lambda modulus: (10**9 + 7, 1))

@@ -21,8 +21,8 @@ from crsums.crsum import (
     crs_multiplicative,
     cross_check,
     _certified,
+    _direct_sum,
     _field,
-    _RootsOnIndex,
 )
 
 
@@ -108,15 +108,18 @@ def test_direct_guard(monkeypatch):
 
 def test_direct_large_modulus_path():
     # past CHECKED_DIRECT_GUARD, where cross_check stops summing literally,
-    # the powers of ω still stream from two tables of ⌈√(q**s)⌉ entries
+    # the sum still walks its h in rows from one table of ⌈√(q**s)⌉ powers
     query = CrsQuery(109, 109**2, 2)
     assert crs_direct(query).value == 109**2 - 1
 
 
-@pytest.mark.parametrize("q, s", [(1000, 2), (100, 3), (997, 2)])
+@pytest.mark.parametrize(
+    "q, s", [(1000, 2), (100, 3), (997, 2), (10201, 1), (10200, 1), (10202, 1)]
+)
 def test_direct_matches_mobius_at_the_top_of_the_streamed_range(q, s):
     # n = q**s sums every term to 1, the largest value to lift; n = q**s - 1
-    # and n = 7 are coprime to q and give small values, of either sign
+    # and n = 7 are coprime to q and give small values, of either sign.
+    # 10201 = 101**2 fills its last row of h; 10200 and 10202 clip it
     for n in (q**s, q**s - 1, 7):
         query = CrsQuery(q, n, s)
         assert crs_direct(query).value == crs_mobius(query).value
@@ -286,8 +289,7 @@ def test_crs_checked_flags_disagreement(monkeypatch):
 
 
 def test_poisoned_roots_give_a_wrong_integer_that_checking_catches(ones_on_index):
-    # every root reads as 1, so each sum counts its admissible h; every size
-    # of q**s reads its roots from the one streamed source
+    # ω reads as 1, so each sum counts its admissible h, at every size of q**s
     assert crs_direct(CrsQuery(3, 1, 1)).value == 2  # c_3(1) = -1
     with pytest.raises(CrossCheckError):
         crs(CrsQuery(3, 1, 1), checked=True)
@@ -297,39 +299,20 @@ def test_poisoned_roots_give_a_wrong_integer_that_checking_catches(ones_on_index
         _certified(streamed, crs_direct(streamed))  # crsum --method direct --checked
 
 
-def test_roots_on_index_are_the_powers_of_omega():
-    for m in [*range(1, 3001), CHECKED_DIRECT_GUARD]:
-        prime, root = _field(m)
-        roots = _RootsOnIndex(m)
-        assert roots.prime == prime
-        power = 1  # ω**t mod P
-        for t in range(m):
-            assert roots[t] == power
-            power = power * root % prime
-
-
-def test_field_is_built_once_per_modulus(monkeypatch):
+def test_field_is_built_once_per_modulus():
     # the (q, s, g) keys of the literal sum share the field of their q**s
-    built = []
-    roots_on_index = crsum_module._RootsOnIndex
-
-    def counting(modulus):
-        built.append(modulus)
-        return roots_on_index(modulus)
-
-    monkeypatch.setattr(crsum_module, "_RootsOnIndex", counting)
     grid = [CrsQuery(q, n, s) for q in range(1, 13) for n in range(1, 51) for s in (1, 2, 3)]
     for query in grid:
         assert crs_direct(query).value == crs_mobius(query).value, query
     keys = {(x.q, x.s, math.gcd(x.n, x.q**x.s)) for x in grid}
     moduli = {x.q**x.s for x in grid}
-    assert sorted(built) == sorted(q**s for q, s, _ in keys)  # one literal sum per key
+    assert _direct_sum.cache_info().misses == len(keys)  # one literal sum per key
     assert len(keys) > len(moduli)  # 4 = 2**2 = 4**1, and g splits each modulus
     assert _field.cache_info().misses == len(moduli)
 
 
 def test_field_has_a_root_of_order_q():
-    # what the exactness proof of _direct_value needs from _field(Q)
+    # what the exactness proof of _direct_sum needs from _field(Q)
     sympy = pytest.importorskip("sympy")
     for modulus in [*range(1, CHECKED_DIRECT_GUARD + 1), 10**4 + 1, 109**2, 997**2, 10**6]:
         prime, root = _field(modulus)
